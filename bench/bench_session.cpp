@@ -6,8 +6,8 @@
 //    The warm path re-initializes the shift/frontier/claim scratch in
 //    place instead of reallocating ~50n bytes per call; the win is the
 //    allocation+fault overhead, visible at rmat(20) scale.
-//  * batch multi-beta — DecompositionSession::run_batch over a beta ladder
-//    (shift draws generated once per seed, derived per beta) vs one
+//  * batch multi-beta — SharedResultStore::acquire_batch over a beta
+//    ladder (shift draws generated once per seed, derived per beta) vs one
 //    independent decompose() per beta.
 //
 // Writes the machine-readable trajectory artifact BENCH_session.json
@@ -95,10 +95,10 @@ Run measure(const std::string& name, const mpx::CsrGraph& g, double beta,
   req.seed = seed;
 
   // Individual multi-beta runs: each generates its own shifts, but shares
-  // the (already warm) workspace — the session's batch path also runs
-  // warm, so the comparison isolates the ShiftBasis amortization rather
-  // than re-measuring workspace reuse. Results are retained, as the
-  // session retains its cache — same memory footprint on both sides.
+  // the (already warm) workspace — the store's batch path also runs warm,
+  // so the comparison isolates the ShiftBasis amortization rather than
+  // re-measuring workspace reuse. Results are retained, as the store
+  // retains its cache — same memory footprint on both sides.
   {
     std::vector<mpx::DecompositionResult> retained;
     retained.reserve(betas.size());
@@ -114,22 +114,25 @@ Run measure(const std::string& name, const mpx::CsrGraph& g, double beta,
   }
   req.beta = beta;
 
-  // Batched through a session: shifts drawn once per seed, derived per
-  // beta. The session's internal workspace is warmed by one run at a beta
-  // outside the ladder (cached separately, so every ladder beta still
-  // decomposes fresh inside the timer) — both sides of the comparison run
-  // warm, isolating the ShiftBasis amortization.
+  // Batched through a store: shifts drawn once per seed, derived per
+  // beta. The store's internal workspace is warmed by one run at a beta
+  // outside the ladder and under another seed (so every ladder beta still
+  // decomposes fresh inside the timer, and the ladder's shift basis is
+  // still drawn there) — both sides of the comparison run warm, isolating
+  // the ShiftBasis amortization.
   {
-    mpx::DecompositionSession session((mpx::CsrGraph(g)));
-    req.beta = 0.9;
-    (void)session.run(req);
-    req.beta = beta;
+    mpx::SharedResultStore store((mpx::CsrGraph(g)));
+    mpx::DecompositionRequest warmup = req;
+    warmup.beta = 0.9;
+    warmup.seed = seed + 1;
+    (void)store.acquire(warmup);
     mpx::WallTimer timer;
-    const std::vector<const mpx::DecompositionResult*> results =
-        session.run_batch(req, betas);
+    const std::vector<mpx::SharedResultStore::Acquired> results =
+        store.acquire_batch(req, betas);
     run.batch_seconds = timer.seconds();
-    for (const mpx::DecompositionResult* r : results) {
-      run.batch_shift_seconds.push_back(r->telemetry.shift_seconds);
+    for (const mpx::SharedResultStore::Acquired& r : results) {
+      run.batch_shift_seconds.push_back(
+          r.entry->result().telemetry.shift_seconds);
     }
   }
   return run;

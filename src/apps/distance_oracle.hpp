@@ -37,8 +37,9 @@ class DistanceOracle {
   DistanceOracle(const CsrGraph& g, const PartitionOptions& opt);
 
   /// Build from an already-computed decomposition of g — the
-  /// DecompositionSession path: one cached partition serves cluster and
-  /// distance queries without re-running the algorithm.
+  /// SharedResultStore path: one cached partition serves cluster and
+  /// distance queries without re-running the algorithm (the store builds
+  /// this oracle on an entry's first distance query).
   DistanceOracle(const CsrGraph& g, Decomposition dec);
 
   /// Same, over an out-of-core paged graph: the center-graph build streams

@@ -27,7 +27,7 @@
 /// `bucketed_weighted_partition`, `ball_growing_decomposition`,
 /// `bgkmpt_decomposition`) remain as thin compatibility entry points and
 /// produce byte-identical owner/settle output for the same options; new
-/// code should prefer this facade. `DecompositionSession`
+/// code should prefer this facade. `SharedResultStore`
 /// (core/session.hpp) layers caching and queries on top.
 #pragma once
 
@@ -180,7 +180,7 @@ namespace detail {
 /// Lift a compacted Decomposition into the owner/settle arrays of the
 /// result contract (owner[v] = center of v's cluster, settle[v] =
 /// dist-to-center). The canonical conversion, shared by the non-BFS
-/// runners and DecompositionSession::load_cached.
+/// runners and SharedResultStore::load_cached.
 void owner_settle_from_decomposition(const Decomposition& dec,
                                      DecompositionResult& out);
 }  // namespace detail

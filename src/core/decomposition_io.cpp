@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/atomic_file.hpp"
+
 namespace mpx::io {
 namespace {
 
@@ -253,16 +255,15 @@ LoadedDecomposition read_decomposition_full(std::istream& in) {
 
 void save_decomposition(const std::string& file_path,
                         const Decomposition& dec) {
-  std::ofstream out(file_path);
-  if (!out) throw std::runtime_error("mpx::io: cannot open " + file_path);
-  write_decomposition(out, dec);
+  write_file_atomically(
+      file_path, [&](std::ostream& out) { write_decomposition(out, dec); });
 }
 
 void save_decomposition(const std::string& file_path, const Decomposition& dec,
                         const RunTelemetry& telemetry) {
-  std::ofstream out(file_path);
-  if (!out) throw std::runtime_error("mpx::io: cannot open " + file_path);
-  write_decomposition(out, dec, telemetry);
+  write_file_atomically(file_path, [&](std::ostream& out) {
+    write_decomposition(out, dec, telemetry);
+  });
 }
 
 Decomposition load_decomposition(const std::string& file_path) {

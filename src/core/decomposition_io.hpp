@@ -1,5 +1,5 @@
 // Plain-text serialization of decompositions, so downstream tools (or a
-// later session) can consume partitions without re-running the algorithm.
+// later process) can consume partitions without re-running the algorithm.
 //
 // Format:
 //   # comments
@@ -11,8 +11,8 @@
 //   n lines: "cluster_id dist_to_center" for vertex 0..n-1
 //
 // The optional telemetry block persists the producing run's RunTelemetry
-// (core/decomposer.hpp) so cached DecompositionSession results survive
-// restarts. Every block line starts with "#!", which readers that predate
+// (core/decomposer.hpp) so SharedResultStore results (core/session.hpp)
+// survive restarts. Every block line starts with "#!", which readers that predate
 // the block (and read_decomposition here) skip as ordinary comments —
 // files with telemetry remain loadable everywhere. read_decomposition_full
 // parses and validates the block: a malformed block (unknown version,
@@ -47,7 +47,9 @@ struct LoadedDecomposition {
 /// content (including a malformed block).
 [[nodiscard]] LoadedDecomposition read_decomposition_full(std::istream& in);
 
-/// File-path conveniences; throw std::runtime_error on I/O failure.
+/// File-path conveniences; throw std::runtime_error on I/O failure. The
+/// savers replace the file atomically (support/atomic_file.hpp): a reader
+/// never sees a torn file, even when the writer dies mid-write.
 void save_decomposition(const std::string& file_path,
                         const Decomposition& dec);
 /// As above, with the telemetry block.

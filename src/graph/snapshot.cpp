@@ -16,6 +16,7 @@
 #include "graph/snapshot_internal.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
+#include "support/atomic_file.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MPX_SNAPSHOT_HAVE_MMAP 1
@@ -130,7 +131,7 @@ void validate_header(const SnapshotHeader& h, std::uint64_t file_bytes,
   }
 }
 
-void write_padded_section(std::ofstream& out, const void* data,
+void write_padded_section(std::ostream& out, const void* data,
                           std::uint64_t bytes) {
   out.write(static_cast<const char*>(data),
             static_cast<std::streamsize>(bytes));
@@ -159,14 +160,12 @@ void save_sections(const std::string& path, std::span<const edge_t> offsets,
       weighted ? snap_align_up(h.targets_offset + h.targets_bytes) : 0;
   h.checksum = section_checksum(offsets, targets, weights);
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) snap_fail(path, "cannot open for writing");
-  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  write_padded_section(out, offsets.data(), h.offsets_bytes);
-  write_padded_section(out, targets.data(), h.targets_bytes);
-  if (weighted) write_padded_section(out, weights.data(), h.weights_bytes);
-  out.flush();
-  if (!out) snap_fail(path, "write failed");
+  write_file_atomically(path, [&](std::ostream& out) {
+    out.write(reinterpret_cast<const char*>(&h), sizeof(h));
+    write_padded_section(out, offsets.data(), h.offsets_bytes);
+    write_padded_section(out, targets.data(), h.targets_bytes);
+    if (weighted) write_padded_section(out, weights.data(), h.weights_bytes);
+  });
 }
 
 /// Shared v2 writer for both tiers. The cold tier compresses `offsets`
@@ -244,20 +243,18 @@ void save_sections_v2(const std::string& path, std::span<const edge_t> offsets,
   h.weights_checksum = bytes_checksum(weights.data(), weights.size_bytes());
   h.header_checksum = bytes_checksum(&h, kSnapshotHeaderV2ChecksumBytes);
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) snap_fail(path, "cannot open for writing");
-  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  if (cold) {
-    write_padded_section(out, degree_bytes.data(), h.offsets_bytes);
-    write_padded_section(out, payload.data(), h.targets_bytes);
-    write_padded_section(out, index.data(), h.block_index_bytes);
-  } else {
-    write_padded_section(out, offsets.data(), h.offsets_bytes);
-    write_padded_section(out, targets.data(), h.targets_bytes);
-  }
-  if (weighted) write_padded_section(out, weights.data(), h.weights_bytes);
-  out.flush();
-  if (!out) snap_fail(path, "write failed");
+  write_file_atomically(path, [&](std::ostream& out) {
+    out.write(reinterpret_cast<const char*>(&h), sizeof(h));
+    if (cold) {
+      write_padded_section(out, degree_bytes.data(), h.offsets_bytes);
+      write_padded_section(out, payload.data(), h.targets_bytes);
+      write_padded_section(out, index.data(), h.block_index_bytes);
+    } else {
+      write_padded_section(out, offsets.data(), h.offsets_bytes);
+      write_padded_section(out, targets.data(), h.targets_bytes);
+    }
+    if (weighted) write_padded_section(out, weights.data(), h.weights_bytes);
+  });
 }
 
 std::uint64_t file_size_or_fail(const std::string& path) {

@@ -246,14 +246,16 @@ struct SnapshotInfo {
   }
 };
 
-/// Write `g` as a version-1 snapshot. Overwrites `path`. Throws
-/// std::runtime_error on I/O failure.
+/// Write `g` as a version-1 snapshot. Replaces `path` atomically (a temp
+/// file renamed over it; support/atomic_file.hpp), so readers never see a
+/// torn file. Throws std::runtime_error on I/O failure.
 void save_snapshot(const std::string& path, const CsrGraph& g);
 /// Weighted overload; sets kSnapshotFlagWeighted and appends the weights
 /// section.
 void save_snapshot(const std::string& path, const WeightedCsrGraph& g);
 
-/// Write `g` per `options` (format version + tier + placement). Throws
+/// Write `g` per `options` (format version + tier + placement), replacing
+/// `path` atomically like the 2-argument overload. Throws
 /// std::runtime_error on I/O failure or inconsistent options (e.g. cold
 /// tier with version 1). With SnapshotPlacement::kDegreeDescending the
 /// written file's vertex ids are the relabeled ones.
@@ -299,8 +301,9 @@ void save_snapshot(const std::string& path, const WeightedCsrGraph& g,
 /// when `verify_checksum` is set, because that forces every page resident
 /// and defeats lazy mapping (snapshot_tool verify covers it instead). A
 /// cold-tier file cannot alias the mapping, so it is materialized exactly
-/// like `load_snapshot` (use `BlockCache` in graph/snapshot_blocks.hpp for
-/// bounded-memory access). On hosts without POSIX mmap this falls back to
+/// like `load_snapshot` (use storage::PagedGraph over a
+/// SnapshotBlockReader, graph/snapshot_blocks.hpp, for bounded-memory
+/// access). On hosts without POSIX mmap this falls back to
 /// `load_snapshot`.
 [[nodiscard]] CsrGraph map_snapshot(const std::string& path,
                                     bool verify_checksum = false);

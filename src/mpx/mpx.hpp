@@ -18,11 +18,14 @@
 ///   mpx::DecompositionStats stats = mpx::analyze(result.decomposition, g);
 /// \endcode
 ///
-/// Serving many decompositions of one graph: mpx::DecompositionSession
-/// (core/session.hpp) caches results by request, batches multi-beta runs
-/// (shift draws generated once per seed), and answers cluster/boundary/
-/// distance queries; construct it straight from a `.mpxs` snapshot with
-/// DecompositionSession::open_snapshot (zero-copy mmap).
+/// Serving many decompositions of one graph: mpx::SharedResultStore
+/// (core/session.hpp) is the one result cache. It computes each request
+/// once (single-flight across threads), batches multi-beta runs (shift
+/// draws generated once per seed), and hands out entries that answer
+/// cluster/boundary/distance queries, building the boundary list and the
+/// distance oracle lazily on first use. Open it straight from a `.mpxs`
+/// snapshot with SharedResultStore::open_snapshot (zero-copy mmap, or
+/// paged under a memory budget).
 ///
 /// The pre-facade entry points (mpx::partition, mpx::weighted_partition,
 /// mpx::bucketed_weighted_partition, mpx::ball_growing_decomposition,

@@ -3,7 +3,7 @@
 ///
 /// A thin, synchronous library over the wire protocol (protocol.hpp):
 /// connect to a `DecompServer` over its Unix-domain socket or loopback
-/// TCP port, then call the same query surface `DecompositionSession`
+/// TCP port, then call the same query surface a `SharedResultStore` entry
 /// answers in process — `run`, `cluster_of` / `owner_of` /
 /// `estimate_distance`, `boundary_arcs`, `batch` — plus `info` and
 /// `shutdown_server`. One client owns one connection. The server
@@ -108,7 +108,8 @@ class DecompClient {
   [[nodiscard]] std::vector<Edge> boundary_arcs(
       const DecompositionRequest& request);
 
-  /// Multi-beta batch run (run_batch semantics on the serving worker).
+  /// Multi-beta batch run (SharedResultStore::acquire_batch semantics on
+  /// the server).
   [[nodiscard]] BatchResponse batch(const DecompositionRequest& base,
                                     std::span<const double> betas);
 

@@ -124,7 +124,7 @@ struct InfoResponse {
   std::uint64_t num_vertices = 0;
   std::uint64_t num_edges = 0;   ///< undirected edges (num_arcs / 2)
   bool weighted = false;         ///< the graph carries edge weights
-  std::uint16_t workers = 0;     ///< worker threads (= sessions)
+  std::uint16_t workers = 0;     ///< worker threads
   std::uint64_t requests_served = 0;  ///< lifetime request count
   // Lifetime block-cache counters of the store's paged graph; all zero
   // when the server holds the graph fully in memory (no --memory-budget).
@@ -202,7 +202,7 @@ struct BoundaryResponse {
   }
 };
 
-/// Multi-beta batch run (DecompositionSession::run_batch semantics: the
+/// Multi-beta batch run (SharedResultStore::acquire_batch semantics: the
 /// seed's shift draws are generated once and shared across the ladder).
 struct BatchRequest {
   DecompositionRequest base;  ///< base.beta is ignored; betas below rule

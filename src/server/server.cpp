@@ -14,10 +14,7 @@
 #include <utility>
 
 #include "core/session.hpp"
-#include "graph/snapshot.hpp"
-#include "graph/snapshot_blocks.hpp"
 #include "server/protocol.hpp"
-#include "storage/paged_graph.hpp"
 #include "support/timer.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -243,9 +240,6 @@ void set_nonblocking(int fd) {
 struct DecompServer::Impl {
   ServerConfig config;
 
-  bool weighted = false;
-  CsrGraph graph;            // unweighted snapshots
-  WeightedCsrGraph wgraph;   // weighted snapshots
   std::unique_ptr<SharedResultStore> store;  // the fleet-wide result cache
 
   int listen_fd = -1;
@@ -1342,28 +1336,10 @@ void DecompServer::start() {
     throw std::invalid_argument("mpx::server: config.workers must be >= 1");
   }
 
-  // Map the snapshot once; the shared store's graph is a shallow copy
-  // that shares the mapping through the view graph's keepalive.
-  const io::SnapshotInfo info = io::read_snapshot_info(impl.config.snapshot_path);
-  impl.weighted = info.weighted();
-  if (impl.config.memory_budget_bytes > 0 && info.cold() &&
-      !info.weighted() &&
-      info.resident_bytes_estimate() > impl.config.memory_budget_bytes) {
-    // Out-of-core serving: the graph is never fully resident — workers
-    // share one bounded block cache (SessionConfig paged-mode criteria).
-    auto reader = std::make_shared<const io::SnapshotBlockReader>(
-        impl.config.snapshot_path);
-    impl.store = std::make_unique<SharedResultStore>(
-        std::make_shared<storage::PagedGraph>(
-            std::move(reader), impl.config.memory_budget_bytes));
-  } else if (impl.weighted) {
-    impl.wgraph = io::map_weighted_snapshot(impl.config.snapshot_path);
-    impl.store =
-        std::make_unique<SharedResultStore>(WeightedCsrGraph(impl.wgraph));
-  } else {
-    impl.graph = io::map_snapshot(impl.config.snapshot_path);
-    impl.store = std::make_unique<SharedResultStore>(CsrGraph(impl.graph));
-  }
+  SessionConfig store_config;
+  store_config.memory_budget_bytes = impl.config.memory_budget_bytes;
+  impl.store = SharedResultStore::open_snapshot(impl.config.snapshot_path,
+                                                store_config);
   impl.restore_warm(/*strict=*/true);
 
   // Register every instrument once, before any serving thread exists:

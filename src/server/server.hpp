@@ -27,8 +27,8 @@
 /// either `wait()` for a stop (client kShutdownRequest or
 /// `request_stop()`) or call `stop()` directly. Shutdown is graceful:
 /// in-flight requests finish, then connections and the listener close.
-/// Warm-start: `ServerConfig::warm` entries are loaded + materialized
-/// into the shared store before the first connection is accepted.
+/// Warm-start: `ServerConfig::warm` entries are loaded into the shared
+/// store before the first connection is accepted.
 ///
 /// Per-request telemetry (counts by type, error count, summed service
 /// seconds, fd-exhaustion backoffs, write-timeout drops) is exposed via
@@ -51,7 +51,7 @@
 namespace mpx::server {
 
 /// One decomposition to restore into the shared result store before
-/// serving (SharedResultStore::load_cached; materialization is eager).
+/// serving (SharedResultStore::load_cached).
 struct WarmStartEntry {
   DecompositionRequest request;  ///< cache key the file restores
   std::string path;              ///< decomposition file (save_cached output)

@@ -42,8 +42,8 @@ namespace mpx::storage {
 ///
 /// Thread-safe: any number of threads may call the const read surface
 /// concurrently (each thread gets its own neighbor lens; the block cache
-/// is sharded). Not copyable — share via shared_ptr, like the sessions
-/// and the server do.
+/// is sharded). Not copyable — share via shared_ptr, like the result
+/// store and the server do.
 class PagedGraph {
  public:
   /// Traversal-engine capability flag: pull sweeps would thrash the block
@@ -119,9 +119,9 @@ class PagedGraph {
 /// per-arc weights, which the cold tier stores raw and the reader maps
 /// resident (weights never compress, so there is nothing to page).
 ///
-/// The decomposition session does not yet serve weighted graphs paged
-/// (weighted cold snapshots materialize regardless of budget — see
-/// DecompositionSession::open_snapshot); this type exists so the weighted
+/// The result store does not yet serve weighted graphs paged (weighted
+/// cold snapshots materialize regardless of budget — see
+/// SharedResultStore::open_snapshot); this type exists so the weighted
 /// path has the same shape when the weighted engine unifies.
 class PagedWeightedGraph {
  public:

@@ -1,16 +1,14 @@
 // Tests for the out-of-core storage layer (src/storage/): the thread-safe
-// sharded block cache (pins survive eviction, budget bounds residency,
-// stats account every decode), the PagedGraph read surface against the
-// in-memory graph, paged-vs-in-memory byte-identity of the mpx
-// decomposition across the fixture corpus x {1, 2, 8} threads x cache
-// budgets, the paged session/store/oracle query surface, the
-// degree-descending snapshot placement, and the documented
-// span-invalidation hazard of the legacy io::BlockCache.
+// sharded block cache (LRU eviction order, pins survive eviction, budget
+// bounds residency, stats account every decode), the PagedGraph read
+// surface against the in-memory graph, paged-vs-in-memory byte-identity
+// of the mpx decomposition across the fixture corpus x {1, 2, 8} threads
+// x cache budgets, the paged store/oracle query surface, and the
+// degree-descending snapshot placement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -100,6 +98,26 @@ TEST(ShardedBlockCache, BudgetBoundsResidencyAndCountsEvictions) {
   EXPECT_GE(stats.resident_blocks, 1u);
 }
 
+TEST(ShardedBlockCache, LruEvictsTheColdestBlock) {
+  TempDir tmp("paged");
+  const CsrGraph g = generators::grid2d(24, 24);
+  const auto reader = cold_reader(tmp, g, 16);
+  ASSERT_GE(reader->num_blocks(), 3u);
+  // One shard holding two blocks' bytes: the third pin evicts exactly one.
+  storage::ShardedBlockCache cache(reader, 2 * block_bytes(*reader),
+                                   /*num_shards=*/1);
+
+  (void)cache.pin(0);
+  (void)cache.pin(1);
+  (void)cache.pin(0);  // touch 0: block 1 is now LRU
+  (void)cache.pin(2);  // evicts 1
+  const std::uint64_t misses_before = cache.stats().misses;
+  (void)cache.pin(0);  // still resident: hit
+  EXPECT_EQ(cache.stats().misses, misses_before);
+  (void)cache.pin(1);  // was evicted: miss
+  EXPECT_EQ(cache.stats().misses, misses_before + 1);
+}
+
 TEST(ShardedBlockCache, PinnedBlockSurvivesEviction) {
   TempDir tmp("paged");
   const CsrGraph g = generators::grid2d(24, 24);
@@ -152,34 +170,6 @@ TEST(ShardedBlockCache, EightThreadHammerStaysConsistent) {
   EXPECT_EQ(stats.hits + stats.misses, 8u * 400u);
 }
 
-// --- the legacy io::BlockCache hazard (satellite: regression-document) -----
-
-TEST(OldBlockCache, OldBlockCacheSpanDiesOnEviction) {
-  // Documents the span-invalidation contract storage::ShardedBlockCache
-  // exists to close: a span returned by io::BlockCache::neighbors()
-  // aliases the cache's internal buffer and dies when a later call evicts
-  // that block. With MPX_DEMONSTRATE_UAF=1 this test dereferences the
-  // stale span so ASan proves the old behavior unsafe; without it, it
-  // only asserts the eviction that would have freed the bytes happened.
-  TempDir tmp("paged");
-  const CsrGraph g = generators::grid2d(16, 16);
-  const auto reader = cold_reader(tmp, g, 32);
-  ASSERT_GT(reader->num_blocks(), 2u);
-  io::BlockCache cache(reader, /*max_resident_blocks=*/1);
-  const std::span<const vertex_t> stale = cache.neighbors(0);
-  ASSERT_FALSE(stale.empty());
-  // Touch the far end of the file: capacity 1 forces the eviction of the
-  // block backing `stale`.
-  (void)cache.neighbors(g.num_vertices() - 1);
-  ASSERT_GT(cache.stats().evictions, 0u);
-  if (std::getenv("MPX_DEMONSTRATE_UAF") != nullptr) {
-    // Use-after-evict, on purpose. ASan reports heap-use-after-free here.
-    volatile vertex_t sink = stale[0];
-    (void)sink;
-  }
-  // The pinned replacement has no such hazard (see PinnedBlockSurvivesEviction).
-}
-
 // --- PagedGraph ------------------------------------------------------------
 
 TEST(PagedGraph, MatchesInMemoryReadSurface) {
@@ -223,6 +213,25 @@ TEST(PagedGraph, SpanValidUntilNextCallOnSameThread) {
     ASSERT_TRUE(std::equal(copy.begin(), copy.end(), want.begin(),
                            want.end()))
         << "v=" << v;
+  }
+}
+
+TEST(PagedGraph, SingleBlockSpansAliasThePinnedBlock) {
+  // A run inside one block is served as a zero-copy subspan of the pinned
+  // block, not a copy into the lens scratch.
+  TempDir tmp("paged");
+  const CsrGraph g = generators::grid2d(8, 8);
+  // One giant block: every run is the single-block case.
+  const auto reader =
+      cold_reader(tmp, g, static_cast<std::uint32_t>(g.num_arcs()));
+  ASSERT_EQ(reader->num_blocks(), 1u);
+  const storage::PagedGraph paged(reader, /*cache_budget_bytes=*/0);
+  const storage::BlockPin block = paged.cache().pin(0);
+  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = paged.neighbors(v);
+    if (!nbrs.empty()) {
+      EXPECT_EQ(nbrs.data(), block->data() + g.offsets()[v]) << "v=" << v;
+    }
   }
 }
 
@@ -332,7 +341,7 @@ TEST(PagedDecomposition, OnlyMpxIsServedPaged) {
   EXPECT_THROW((void)decompose(paged, req), std::invalid_argument);
 }
 
-// --- paged sessions --------------------------------------------------------
+// --- paged stores ----------------------------------------------------------
 
 /// Saves `g` cold and returns the path.
 std::string save_cold(const TempDir& tmp, const CsrGraph& g,
@@ -351,32 +360,33 @@ TEST(PagedSession, BudgetSelectsPagedModeAndQueriesMatch) {
   const std::string path = save_cold(tmp, g, 32, "session.mpxs");
   SessionConfig config;
   config.memory_budget_bytes = 1024;  // far below the ~15 KB resident estimate
-  DecompositionSession paged = DecompositionSession::open_snapshot(path,
-                                                                   config);
-  ASSERT_TRUE(paged.paged());
-  EXPECT_EQ(paged.num_vertices(), g.num_vertices());
-  EXPECT_EQ(paged.num_edges(), g.num_edges());
-  EXPECT_THROW((void)paged.topology(), std::logic_error);
+  const auto paged = SharedResultStore::open_snapshot(path, config);
+  ASSERT_TRUE(paged->paged());
+  EXPECT_EQ(paged->num_vertices(), g.num_vertices());
+  EXPECT_EQ(paged->num_edges(), g.num_edges());
+  EXPECT_THROW((void)paged->topology(), std::logic_error);
 
-  DecompositionSession inmem = DecompositionSession::open_snapshot(path);
-  ASSERT_FALSE(inmem.paged());
+  const auto inmem = SharedResultStore::open_snapshot(path);
+  ASSERT_FALSE(inmem->paged());
 
   DecompositionRequest req;
   req.beta = 0.15;
   req.seed = 3;
-  EXPECT_EQ(paged.run(req).owner, inmem.run(req).owner);
-  EXPECT_GT(paged.run(req).telemetry.cache_misses, 0u);
+  const auto got = paged->acquire(req).entry;
+  const auto want = inmem->acquire(req).entry;
+  EXPECT_EQ(got->result().owner, want->result().owner);
+  EXPECT_GT(got->result().telemetry.cache_misses, 0u);
   // The full query surface over a never-fully-resident graph.
-  const auto b_paged = paged.boundary_arcs(req);
-  const auto b_inmem = inmem.boundary_arcs(req);
+  const auto b_paged = got->boundary_arcs();
+  const auto b_inmem = want->boundary_arcs();
   ASSERT_EQ(b_paged.size(), b_inmem.size());
   EXPECT_TRUE(std::equal(b_paged.begin(), b_paged.end(), b_inmem.begin()));
-  EXPECT_EQ(paged.estimate_distance(0, g.num_vertices() - 1, req),
-            inmem.estimate_distance(0, g.num_vertices() - 1, req));
-  EXPECT_EQ(paged.cluster_of(5, req), inmem.cluster_of(5, req));
-  // Lifetime cache counters are live on the paged session only.
-  EXPECT_GT(paged.cache_stats().misses, 0u);
-  EXPECT_EQ(inmem.cache_stats().misses, 0u);
+  EXPECT_EQ(got->estimate_distance(0, g.num_vertices() - 1),
+            want->estimate_distance(0, g.num_vertices() - 1));
+  EXPECT_EQ(got->cluster_of(5), want->cluster_of(5));
+  // Lifetime cache counters are live on the paged store only.
+  EXPECT_GT(paged->cache_stats().misses, 0u);
+  EXPECT_EQ(inmem->cache_stats().misses, 0u);
 }
 
 TEST(PagedSession, LargeBudgetStaysInMemory) {
@@ -385,28 +395,8 @@ TEST(PagedSession, LargeBudgetStaysInMemory) {
   const std::string path = save_cold(tmp, g, 32, "large.mpxs");
   SessionConfig config;
   config.memory_budget_bytes = 1ull << 30;
-  DecompositionSession session =
-      DecompositionSession::open_snapshot(path, config);
-  EXPECT_FALSE(session.paged());
-}
-
-TEST(PagedSession, MaterializeEnablesConstQueries) {
-  TempDir tmp("paged");
-  const CsrGraph g = generators::grid2d(16, 16);
-  const std::string path = save_cold(tmp, g, 32, "mat.mpxs");
-  SessionConfig config;
-  config.memory_budget_bytes = 512;
-  DecompositionSession session =
-      DecompositionSession::open_snapshot(path, config);
-  ASSERT_TRUE(session.paged());
-  DecompositionRequest req;
-  req.beta = 0.2;
-  (void)session.materialize(req);
-  const DecompositionSession& view = session;
-  EXPECT_EQ(view.owner_of(3, req), session.run(req).owner[3]);
-  EXPECT_GE(view.num_clusters(req), 1u);
-  (void)view.boundary_arcs(req);
-  (void)view.estimate_distance(0, 5, req);
+  const auto store = SharedResultStore::open_snapshot(path, config);
+  EXPECT_FALSE(store->paged());
 }
 
 TEST(PagedStore, AcquireMatchesInMemoryStore) {

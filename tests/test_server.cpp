@@ -1,6 +1,6 @@
 // Tests for the decomposition server (src/server/server.hpp) and client
 // (src/server/client.hpp): served answers byte-identical to the
-// in-process DecompositionSession across the golden fixtures and
+// in-process SharedResultStore across the golden fixtures and
 // 1/2/8 worker threads, application-level error responses, malformed
 // wire bytes answered with kErrorResponse (never an abort), concurrent
 // clients, warm start via load_cached, graceful shutdown, and the
@@ -97,12 +97,12 @@ InfoResponse raw_info_round_trip(int fd) {
 }
 
 /// A server over `snapshot` on a unix socket inside `dir`, plus the
-/// matching in-process session for expected answers.
+/// matching in-process store for expected answers.
 struct ServedSnapshot {
   ServedSnapshot(const mpx::testing::TempDir& dir,
                  const std::string& snapshot_path, int workers,
                  std::vector<WarmStartEntry> warm = {})
-      : session(DecompositionSession::open_snapshot(snapshot_path)) {
+      : store(SharedResultStore::open_snapshot(snapshot_path)) {
     ServerConfig config;
     config.snapshot_path = snapshot_path;
     config.socket_path =
@@ -121,18 +121,25 @@ struct ServedSnapshot {
     return DecompClient::connect_unix(server->config().socket_path);
   }
 
-  DecompositionSession session;  // the in-process reference
+  /// The in-process reference answer for `req`.
+  [[nodiscard]] const MaterializedDecomposition& expected(
+      const DecompositionRequest& req) {
+    return *store->acquire(req).entry;
+  }
+
+  std::unique_ptr<SharedResultStore> store;  // the in-process reference
   std::unique_ptr<DecompServer> server;
 };
 
 /// The acceptance criterion: a served run + cluster_of / boundary_arcs /
 /// estimate_distance sequence answers byte-identically to the in-process
-/// session for the same requests.
+/// store for the same requests.
 void expect_served_matches_session(DecompClient& client,
-                                   DecompositionSession& session,
+                                   SharedResultStore& store,
                                    const DecompositionRequest& req,
                                    bool expect_weighted) {
-  const DecompositionResult& expected = session.run(req);
+  const MaterializedDecomposition& reference = *store.acquire(req).entry;
+  const DecompositionResult& expected = reference.result();
 
   const RunResponse run = client.run(req, /*include_arrays=*/true);
   EXPECT_EQ(run.num_clusters, expected.num_clusters());
@@ -144,14 +151,14 @@ void expect_served_matches_session(DecompClient& client,
   EXPECT_EQ(run.owner, expected.owner);    // byte-identical arrays
   EXPECT_EQ(run.settle, expected.settle);
 
-  const vertex_t n = session.topology().num_vertices();
+  const vertex_t n = store.topology().num_vertices();
   for (vertex_t v = 0; v < n; v += (n > 64 ? 13 : 1)) {
-    EXPECT_EQ(client.cluster_of(v, req), session.cluster_of(v, req));
-    EXPECT_EQ(client.owner_of(v, req), session.owner_of(v, req));
+    EXPECT_EQ(client.cluster_of(v, req), reference.cluster_of(v));
+    EXPECT_EQ(client.owner_of(v, req), reference.owner_of(v));
   }
 
   const std::vector<Edge> served_boundary = client.boundary_arcs(req);
-  const std::span<const Edge> expected_boundary = session.boundary_arcs(req);
+  const std::span<const Edge> expected_boundary = reference.boundary_arcs();
   ASSERT_EQ(served_boundary.size(), expected_boundary.size());
   for (std::size_t i = 0; i < served_boundary.size(); ++i) {
     EXPECT_EQ(served_boundary[i], expected_boundary[i]);
@@ -161,7 +168,7 @@ void expect_served_matches_session(DecompClient& client,
     for (vertex_t u = 0; u < n; u += (n > 64 ? 29 : 2)) {
       for (vertex_t v = 0; v < n; v += (n > 64 ? 31 : 3)) {
         EXPECT_EQ(client.estimate_distance(u, v, req),
-                  session.estimate_distance(u, v, req));
+                  reference.estimate_distance(u, v));
       }
     }
   }
@@ -189,7 +196,7 @@ TEST(Server, ServedAnswersMatchSessionAcrossGoldenFixturesAndWorkers) {
       SCOPED_TRACE(fixture.path + " workers=" + std::to_string(workers));
       ServedSnapshot served(dir, fixture.path, workers);
       DecompClient client = served.connect();
-      expect_served_matches_session(client, served.session,
+      expect_served_matches_session(client, *served.store,
                                     request(0.4, 7, fixture.algorithm),
                                     fixture.weighted);
     }
@@ -206,15 +213,14 @@ TEST(Server, BatchMatchesSessionRunBatch) {
   const std::vector<double> betas = {0.5, 0.2, 0.1};
   const BatchResponse batch = client.batch(request(0.1), betas);
   ASSERT_EQ(batch.entries.size(), betas.size());
-  const auto expected = served.session.run_batch(request(0.1), betas);
-  DecompositionRequest per_beta = request(0.1);
+  const auto expected = served.store->acquire_batch(request(0.1), betas);
   for (std::size_t i = 0; i < betas.size(); ++i) {
-    per_beta.beta = betas[i];
     EXPECT_EQ(batch.entries[i].beta, betas[i]);
-    EXPECT_EQ(batch.entries[i].num_clusters, expected[i]->num_clusters());
-    EXPECT_EQ(batch.entries[i].rounds, expected[i]->telemetry.rounds);
+    EXPECT_EQ(batch.entries[i].num_clusters, expected[i].entry->num_clusters());
+    EXPECT_EQ(batch.entries[i].rounds,
+              expected[i].entry->result().telemetry.rounds);
     EXPECT_EQ(batch.entries[i].boundary_edges,
-              served.session.boundary_arcs(per_beta).size());
+              expected[i].entry->boundary_arcs().size());
   }
 }
 
@@ -249,7 +255,7 @@ TEST(Server, QueryMemoTracksRequestSwitchesOnOneConnection) {
   // The per-connection query memo (including its byte-level fast path)
   // must never serve a stale entry: interleave point queries of two
   // requests with run() calls that repoint the memo at a different
-  // decomposition, and check every answer against the session.
+  // decomposition, and check every answer against the in-process store.
   mpx::testing::TempDir dir("mpx_server");
   const std::string path = dir.file("grid.mpxs");
   io::save_snapshot(path, generators::grid2d(12, 12));
@@ -258,16 +264,16 @@ TEST(Server, QueryMemoTracksRequestSwitchesOnOneConnection) {
 
   const DecompositionRequest a = request(0.3);
   const DecompositionRequest b = request(0.5, 99);
-  const vertex_t n = served.session.topology().num_vertices();
+  const vertex_t n = served.store->topology().num_vertices();
   for (vertex_t v = 0; v < n; v += 17) {
-    EXPECT_EQ(client.cluster_of(v, a), served.session.cluster_of(v, a));
+    EXPECT_EQ(client.cluster_of(v, a), served.expected(a).cluster_of(v));
   }
   (void)client.run(b);  // repoints the connection memo at b's entry
   for (vertex_t v = 0; v < n; v += 17) {
     // Same bytes as the earlier queries: must not hit b's entry.
-    EXPECT_EQ(client.cluster_of(v, a), served.session.cluster_of(v, a));
-    EXPECT_EQ(client.cluster_of(v, b), served.session.cluster_of(v, b));
-    EXPECT_EQ(client.owner_of(v, a), served.session.owner_of(v, a));
+    EXPECT_EQ(client.cluster_of(v, a), served.expected(a).cluster_of(v));
+    EXPECT_EQ(client.cluster_of(v, b), served.expected(b).cluster_of(v));
+    EXPECT_EQ(client.owner_of(v, a), served.expected(a).owner_of(v));
   }
 }
 
@@ -302,7 +308,7 @@ TEST(Server, RejectsBadRequestsWithTypedErrors) {
 
   // The connection survives every rejection above.
   EXPECT_EQ(client.cluster_of(0, request(0.3)),
-            served.session.cluster_of(0, request(0.3)));
+            served.expected(request(0.3)).cluster_of(0));
 }
 
 TEST(Server, RejectsDistanceEstimatesForWeightedAlgorithms) {
@@ -431,7 +437,7 @@ TEST(Server, ConcurrentClientsGetConsistentAnswers) {
   io::save_snapshot(path, g);
   ServedSnapshot served(dir, path, 8);
   const DecompositionRequest req = request(0.3);
-  const DecompositionResult& expected = served.session.run(req);
+  const DecompositionResult& expected = served.expected(req).result();
 
   constexpr int kClients = 8;
   constexpr int kIters = 25;
@@ -466,9 +472,9 @@ TEST(Server, WarmStartServesTheCachedDecomposition) {
   const std::string warm_path = dir.file("warm.dec");
   DecompositionResult expected;
   {
-    DecompositionSession warm_session((CsrGraph(g)));
-    expected = warm_session.run(req);  // copy: the session dies below
-    warm_session.save_cached(req, warm_path);
+    SharedResultStore warm_store((CsrGraph(g)));
+    expected = warm_store.acquire(req).entry->result();  // copy
+    warm_store.save_cached(req, warm_path);
   }
 
   ServedSnapshot served(dir, snapshot_path, 2, {{req, warm_path}});
@@ -487,9 +493,8 @@ TEST(Server, CacheBoundEvictsButRestoresWarmEntries) {
   const DecompositionRequest warm_req = request(0.3, 9);
   const std::string warm_path = dir.file("warm.dec");
   {
-    DecompositionSession warm_session((CsrGraph(g)));
-    (void)warm_session.run(warm_req);
-    warm_session.save_cached(warm_req, warm_path);
+    SharedResultStore warm_store((CsrGraph(g)));
+    warm_store.save_cached(warm_req, warm_path);
   }
 
   ServerConfig config;
@@ -608,7 +613,7 @@ TEST(Server, StatsRequestReportsPerTypeHistogramsAcrossWorkers) {
         stats.metrics.histogram("server.queue_wait");
     ASSERT_NE(queue_h, nullptr);
     EXPECT_GE(queue_h->count, 9u);
-    // The session bridge feeds decomp.*: exactly the cold computes.
+    // The store bridge feeds decomp.*: exactly the cold computes.
     EXPECT_EQ(stats.metrics.counter_or("decomp.computes"),
               stats.store_computes);
     const obs::HistogramSnapshot* total_h =
@@ -666,7 +671,7 @@ TEST(Server, DisabledMetricsKeepServingButRecordNothing) {
     const StatsResponse stats = client.server_stats();
     // The lifetime counters still count (they predate the registry)...
     EXPECT_EQ(stats.run_requests, 1u);
-    // ...but every histogram stays empty and the session bridge is off.
+    // ...but every histogram stays empty and the store bridge is off.
     for (const obs::NamedHistogram& h : stats.metrics.histograms) {
       EXPECT_EQ(h.histogram.count, 0u) << h.name;
     }
@@ -806,8 +811,9 @@ TEST(Server, TcpLoopbackTransportWorks) {
                                                     server.port());
     EXPECT_EQ(client.info().num_vertices, 64u);
     const DecompositionRequest req = request(0.3);
-    DecompositionSession session = DecompositionSession::open_snapshot(path);
-    EXPECT_EQ(client.run(req, true).owner, session.run(req).owner);
+    const auto store = SharedResultStore::open_snapshot(path);
+    EXPECT_EQ(client.run(req, true).owner,
+              store->acquire(req).entry->result().owner);
   }
   server.stop();
 }
@@ -846,7 +852,7 @@ TEST(Server, IdleConnectionsBeyondWorkerCountDoNotStarveService) {
             std::future_status::ready)
       << "an active client starved behind " << idle.size()
       << " idle connections";
-  EXPECT_EQ(answered.get().owner, served.session.run(req).owner);
+  EXPECT_EQ(answered.get().owner, served.expected(req).result().owner);
   for (const int fd : idle) ::close(fd);
 }
 
@@ -857,7 +863,7 @@ TEST(Server, InterleavedPipelinedClientsAllProgressOnOneWorker) {
   io::save_snapshot(path, g);
   ServedSnapshot served(dir, path, /*workers=*/1);
   const DecompositionRequest req = request(0.3);
-  const DecompositionResult& expected = served.session.run(req);
+  const DecompositionResult& expected = served.expected(req).result();
 
   // Each client streams bursts longer than the server's per-turn frame
   // cap, so one worker must round-robin the connections rather than
@@ -902,7 +908,7 @@ TEST(Server, PipelinedResponsesMatchSessionAcrossWorkers) {
     DecompClient client = served.connect();
 
     // A pipelined run burst, including a duplicate that must come back
-    // from the shared store, answers byte-identically to the session.
+    // from the shared store, answers byte-identically to the reference.
     const std::vector<DecompositionRequest> reqs = {
         request(0.4, 7), request(0.3, 7), request(0.5, 9), request(0.4, 7)};
     const std::vector<RunResponse> responses =
@@ -910,7 +916,7 @@ TEST(Server, PipelinedResponsesMatchSessionAcrossWorkers) {
     ASSERT_EQ(responses.size(), reqs.size());
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       SCOPED_TRACE("request " + std::to_string(i));
-      const DecompositionResult& expected = served.session.run(reqs[i]);
+      const DecompositionResult& expected = served.expected(reqs[i]).result();
       EXPECT_EQ(responses[i].num_clusters, expected.num_clusters());
       EXPECT_EQ(responses[i].rounds, expected.telemetry.rounds);
       ASSERT_TRUE(responses[i].has_arrays);
@@ -924,7 +930,7 @@ TEST(Server, PipelinedResponsesMatchSessionAcrossWorkers) {
     for (vertex_t v = 0; v < g.num_vertices(); ++v) vertices[v] = v;
     const std::vector<cluster_t> clusters =
         client.cluster_of_pipelined(vertices, reqs[0]);
-    const DecompositionResult& expected = served.session.run(reqs[0]);
+    const DecompositionResult& expected = served.expected(reqs[0]).result();
     ASSERT_EQ(clusters.size(), vertices.size());
     for (vertex_t v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(clusters[v], expected.cluster_of(v)) << "vertex " << v;

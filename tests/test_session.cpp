@@ -1,11 +1,10 @@
-// Tests for DecompositionSession (core/session.hpp): snapshot-backed
-// construction, request-keyed caching, batch multi-beta runs sharing one
-// shift basis, query answering (cluster-of / boundary / distance oracle),
-// and persistence of cached results with their telemetry. Also covers
-// SharedResultStore, the thread-safe fleet-wide cache the server builds
-// on: single-flight concurrent acquires, bitwise identity with session
-// answers, warm loads, and the clear()-with-outstanding-references
-// lifetime contract.
+// Tests for SharedResultStore (core/session.hpp), the one result cache:
+// snapshot-backed construction, request-keyed caching, batch multi-beta
+// acquires sharing one shift basis, query answering (cluster-of /
+// boundary / distance oracle), persistence of cached results with their
+// telemetry, single-flight concurrent acquires, warm loads, the
+// clear()-with-outstanding-references lifetime contract, and the lazy
+// boundary/oracle artifacts (built once, on first use, from any thread).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,29 +38,35 @@ DecompositionRequest request(double beta, std::uint64_t seed = 42,
   return req;
 }
 
+/// The result of `req`, computed on first use.
+const DecompositionResult& run(SharedResultStore& store,
+                               const DecompositionRequest& req) {
+  return store.acquire(req).entry->result();
+}
+
 TEST(Session, RunMatchesFreeFacadeAndCaches) {
   const CsrGraph g = generators::grid2d(30, 30);
-  DecompositionSession session((CsrGraph(g)));
+  SharedResultStore store((CsrGraph(g)));
   const DecompositionRequest req = request(0.2);
 
-  EXPECT_EQ(session.cached(req), nullptr);
-  const DecompositionResult& first = session.run(req);
+  EXPECT_EQ(store.cached(req), nullptr);
+  const DecompositionResult& first = run(store, req);
   const DecompositionResult direct = decompose(g, req);
   EXPECT_EQ(first.owner, direct.owner);
   EXPECT_EQ(first.settle, direct.settle);
 
   // Second run returns the same cached object, not a recomputation.
-  const DecompositionResult& second = session.run(req);
+  const DecompositionResult& second = run(store, req);
   EXPECT_EQ(&first, &second);
-  EXPECT_EQ(session.cache_size(), 1u);
-  EXPECT_EQ(session.cached(req), &first);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(&store.cached(req)->result(), &first);
 
   // A different request is a different entry.
-  (void)session.run(request(0.5));
-  EXPECT_EQ(session.cache_size(), 2u);
-  session.clear_cache();
-  EXPECT_EQ(session.cache_size(), 0u);
-  EXPECT_EQ(session.cached(req), nullptr);
+  (void)run(store, request(0.5));
+  EXPECT_EQ(store.size(), 2u);
+  store.clear();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.cached(req), nullptr);
 }
 
 TEST(Session, OpenSnapshotServesTheGraphZeroCopy) {
@@ -70,13 +75,13 @@ TEST(Session, OpenSnapshotServesTheGraphZeroCopy) {
   const std::string path = dir.file("grid.mpxs");
   io::save_snapshot(path, g);
 
-  DecompositionSession session = DecompositionSession::open_snapshot(path);
-  EXPECT_FALSE(session.weighted());
-  EXPECT_EQ(session.topology().num_vertices(), g.num_vertices());
-  EXPECT_FALSE(session.topology().owns_storage());  // mmap view
+  const auto store = SharedResultStore::open_snapshot(path);
+  EXPECT_FALSE(store->weighted());
+  EXPECT_EQ(store->topology().num_vertices(), g.num_vertices());
+  EXPECT_FALSE(store->topology().owns_storage());  // mmap view
 
   const DecompositionRequest req = request(0.3);
-  const DecompositionResult& result = session.run(req);
+  const DecompositionResult& result = run(*store, req);
   EXPECT_EQ(result.owner, decompose(g, req).owner);
 }
 
@@ -86,10 +91,10 @@ TEST(Session, OpenWeightedSnapshotSelectsWeightedGraph) {
   const std::string path = dir.file("grid_w.mpxs");
   io::save_snapshot(path, wg);
 
-  DecompositionSession session = DecompositionSession::open_snapshot(path);
-  EXPECT_TRUE(session.weighted());
+  const auto store = SharedResultStore::open_snapshot(path);
+  EXPECT_TRUE(store->weighted());
   const DecompositionRequest req = request(0.4, 7, "mpx-weighted");
-  const DecompositionResult& result = session.run(req);
+  const DecompositionResult& result = run(*store, req);
   EXPECT_TRUE(result.weighted());
   EXPECT_EQ(result.radii, decompose(wg, req).radii);
 }
@@ -98,53 +103,55 @@ TEST(Session, BatchMatchesIndividualRunsBitwise) {
   const CsrGraph g = generators::grid2d(40, 40);
   const double betas[] = {0.5, 0.2, 0.1, 0.05};
 
-  DecompositionSession batch_session((CsrGraph(g)));
-  const auto batch = batch_session.run_batch(request(0.0), betas);
+  SharedResultStore batch_store((CsrGraph(g)));
+  const auto batch = batch_store.acquire_batch(request(0.0), betas);
   ASSERT_EQ(batch.size(), 4u);
 
   for (std::size_t i = 0; i < std::size(betas); ++i) {
     SCOPED_TRACE("beta=" + std::to_string(betas[i]));
     const DecompositionResult individual = decompose(g, request(betas[i]));
-    EXPECT_EQ(batch[i]->owner, individual.owner);
-    EXPECT_EQ(batch[i]->settle, individual.settle);
+    EXPECT_EQ(batch[i].entry->result().owner, individual.owner);
+    EXPECT_EQ(batch[i].entry->result().settle, individual.settle);
   }
-  EXPECT_EQ(batch_session.cache_size(), 4u);
+  EXPECT_EQ(batch_store.size(), 4u);
 
   // A second batch over an overlapping beta set reuses the cache.
   const double more[] = {0.2, 0.07};
-  const auto again = batch_session.run_batch(request(0.0), more);
-  EXPECT_EQ(again[0], batch[1]);
-  EXPECT_EQ(batch_session.cache_size(), 5u);
+  const auto again = batch_store.acquire_batch(request(0.0), more);
+  EXPECT_EQ(again[0].entry, batch[1].entry);
+  EXPECT_EQ(batch_store.size(), 5u);
 }
 
 TEST(Session, BatchValidatesEveryBetaUpFront) {
-  DecompositionSession session(generators::grid2d(5, 5));
+  SharedResultStore store(generators::grid2d(5, 5));
   const double betas[] = {0.5, 0.0};
-  EXPECT_THROW((void)session.run_batch(request(0.1), betas),
+  EXPECT_THROW((void)store.acquire_batch(request(0.1), betas),
                std::invalid_argument);
-  EXPECT_EQ(session.cache_size(), 0u);  // nothing half-executed
+  EXPECT_EQ(store.size(), 0u);  // nothing half-executed
 }
 
 TEST(Session, ClusterQueriesAgreeWithTheResult) {
   const CsrGraph g = generators::grid2d(20, 20);
-  DecompositionSession session((CsrGraph(g)));
+  SharedResultStore store((CsrGraph(g)));
   const DecompositionRequest req = request(0.3);
-  const DecompositionResult& result = session.run(req);
+  const auto entry = store.acquire(req).entry;
+  const DecompositionResult& result = entry->result();
 
   for (vertex_t v = 0; v < g.num_vertices(); v += 17) {
-    EXPECT_EQ(session.cluster_of(v, req), result.cluster_of(v));
-    EXPECT_EQ(session.owner_of(v, req), result.owner[v]);
+    EXPECT_EQ(entry->cluster_of(v), result.cluster_of(v));
+    EXPECT_EQ(entry->owner_of(v), result.owner[v]);
   }
-  EXPECT_EQ(session.num_clusters(req), result.num_clusters());
+  EXPECT_EQ(entry->num_clusters(), result.num_clusters());
 }
 
 TEST(Session, BoundaryArcsAreExactlyTheCutEdges) {
   const CsrGraph g = generators::grid2d(15, 15);
-  DecompositionSession session((CsrGraph(g)));
+  SharedResultStore store((CsrGraph(g)));
   const DecompositionRequest req = request(0.4);
-  const DecompositionResult& result = session.run(req);
+  const auto entry = store.acquire(req).entry;
+  const DecompositionResult& result = entry->result();
 
-  const std::span<const Edge> boundary = session.boundary_arcs(req);
+  const std::span<const Edge> boundary = entry->boundary_arcs();
   std::set<std::pair<vertex_t, vertex_t>> expected;
   for (vertex_t u = 0; u < g.num_vertices(); ++u) {
     for (const vertex_t v : g.neighbors(u)) {
@@ -158,32 +165,34 @@ TEST(Session, BoundaryArcsAreExactlyTheCutEdges) {
     EXPECT_TRUE(expected.count({e.u, e.v})) << e.u << "-" << e.v;
   }
   // Second call returns the cached list (same address).
-  EXPECT_EQ(session.boundary_arcs(req).data(), boundary.data());
+  EXPECT_EQ(store.acquire(req).entry->boundary_arcs().data(),
+            boundary.data());
 }
 
 TEST(Session, DistanceEstimatesMatchAStandaloneOracle) {
   const CsrGraph g = generators::grid2d(18, 18);
-  DecompositionSession session((CsrGraph(g)));
+  SharedResultStore store((CsrGraph(g)));
   const DecompositionRequest req = request(0.25);
-  const DecompositionResult& result = session.run(req);
+  const auto entry = store.acquire(req).entry;
+  const DecompositionResult& result = entry->result();
 
   const DistanceOracle oracle(g, Decomposition(result.decomposition));
   for (vertex_t u = 0; u < g.num_vertices(); u += 41) {
     for (vertex_t v = 0; v < g.num_vertices(); v += 37) {
-      EXPECT_EQ(session.estimate_distance(u, v, req), oracle.estimate(u, v));
+      EXPECT_EQ(entry->estimate_distance(u, v), oracle.estimate(u, v));
     }
   }
   // Estimates never undershoot the true distance (they are realized paths).
   const std::vector<std::uint32_t> exact = bfs_distances(g, 0);
   for (vertex_t v = 0; v < g.num_vertices(); v += 23) {
-    EXPECT_GE(session.estimate_distance(0, v, req), exact[v]);
+    EXPECT_GE(entry->estimate_distance(0, v), exact[v]);
   }
 }
 
 TEST(Session, DistanceQueriesRejectWeightedResults) {
-  DecompositionSession session(mpx::testing::grid3x3_weighted_reference());
+  SharedResultStore store(mpx::testing::grid3x3_weighted_reference());
   const DecompositionRequest req = request(0.4, 1, "mpx-weighted");
-  EXPECT_THROW((void)session.estimate_distance(0, 1, req),
+  EXPECT_THROW((void)store.acquire(req).entry->estimate_distance(0, 1),
                std::invalid_argument);
 }
 
@@ -195,37 +204,38 @@ TEST(Session, SaveAndReloadCachedResultAcrossSessions) {
 
   RunTelemetry saved_telemetry;
   {
-    DecompositionSession session((CsrGraph(g)));
-    (void)session.run(req);
-    saved_telemetry = session.run(req).telemetry;
-    session.save_cached(req, path);
+    SharedResultStore store((CsrGraph(g)));
+    (void)run(store, req);
+    saved_telemetry = run(store, req).telemetry;
+    store.save_cached(req, path);
   }
 
-  DecompositionSession restored((CsrGraph(g)));
+  SharedResultStore restored((CsrGraph(g)));
   EXPECT_FALSE(restored.load_cached(req, dir.file("missing.dec")));
   ASSERT_TRUE(restored.load_cached(req, path));
-  EXPECT_EQ(restored.cache_size(), 1u);
+  EXPECT_EQ(restored.size(), 1u);
 
-  const DecompositionResult* cached = restored.cached(req);
+  const auto cached = restored.cached(req);
   ASSERT_NE(cached, nullptr);
   const DecompositionResult direct = decompose(g, req);
-  EXPECT_EQ(cached->owner, direct.owner);
-  EXPECT_EQ(cached->settle, direct.settle);
+  EXPECT_EQ(cached->result().owner, direct.owner);
+  EXPECT_EQ(cached->result().settle, direct.settle);
   // The telemetry block survived the round trip.
-  EXPECT_EQ(cached->telemetry, saved_telemetry);
+  EXPECT_EQ(cached->result().telemetry, saved_telemetry);
   // Queries work off the restored entry without recomputation.
-  EXPECT_EQ(restored.num_clusters(req), direct.num_clusters());
+  EXPECT_EQ(restored.acquire(req).entry->num_clusters(),
+            direct.num_clusters());
 }
 
 TEST(Session, PersistenceRejectsWeightedAlgorithms) {
   mpx::testing::TempDir dir("mpx_session");
-  DecompositionSession session(mpx::testing::grid3x3_weighted_reference());
+  SharedResultStore store(mpx::testing::grid3x3_weighted_reference());
   const DecompositionRequest req = request(0.4, 1, "mpx-weighted");
-  EXPECT_THROW(session.save_cached(req, dir.file("w.dec")),
+  EXPECT_THROW(store.save_cached(req, dir.file("w.dec")),
                std::invalid_argument);
   // load_cached mirrors the guard even before touching the file: a text
   // decomposition can never restore real-valued radii shape-consistently.
-  EXPECT_THROW((void)session.load_cached(req, dir.file("absent.dec")),
+  EXPECT_THROW((void)store.load_cached(req, dir.file("absent.dec")),
                std::invalid_argument);
 }
 
@@ -234,10 +244,10 @@ TEST(Session, LoadCachedRejectsAlgorithmMismatch) {
   const std::string path = dir.file("cached.dec");
   const CsrGraph g = generators::grid2d(8, 8);
   {
-    DecompositionSession session((CsrGraph(g)));
-    session.save_cached(request(0.3), path);  // telemetry says "mpx"
+    SharedResultStore store((CsrGraph(g)));
+    store.save_cached(request(0.3), path);  // telemetry says "mpx"
   }
-  DecompositionSession other((CsrGraph(g)));
+  SharedResultStore other((CsrGraph(g)));
   EXPECT_THROW((void)other.load_cached(request(0.3, 42, "ball-growing"), path),
                std::runtime_error);
 }
@@ -247,13 +257,13 @@ TEST(Session, LoadCachedKeepsResidentEntriesAlive) {
   const std::string path = dir.file("cached.dec");
   const CsrGraph g = generators::grid2d(8, 8);
   const DecompositionRequest req = request(0.3);
-  DecompositionSession session((CsrGraph(g)));
-  session.save_cached(req, path);
-  const DecompositionResult& resident = session.run(req);
+  SharedResultStore store((CsrGraph(g)));
+  store.save_cached(req, path);
+  const DecompositionResult& resident = run(store, req);
   // Loading over a resident entry is a no-op: the computed result equals
   // the file (determinism), and outstanding references stay valid.
-  ASSERT_TRUE(session.load_cached(req, path));
-  EXPECT_EQ(&session.run(req), &resident);
+  ASSERT_TRUE(store.load_cached(req, path));
+  EXPECT_EQ(&run(store, req), &resident);
 }
 
 TEST(Session, LoadCachedRejectsMismatchedGraph) {
@@ -261,61 +271,24 @@ TEST(Session, LoadCachedRejectsMismatchedGraph) {
   const std::string path = dir.file("cached.dec");
   const DecompositionRequest req = request(0.3);
   {
-    DecompositionSession session(generators::grid2d(10, 10));
-    session.save_cached(req, path);
+    SharedResultStore store(generators::grid2d(10, 10));
+    store.save_cached(req, path);
   }
-  DecompositionSession other(generators::grid2d(4, 4));
+  SharedResultStore other(generators::grid2d(4, 4));
   EXPECT_THROW((void)other.load_cached(req, path), std::runtime_error);
 }
 
-TEST(Session, ConstQueriesRequireMaterialize) {
-  DecompositionSession session(generators::grid2d(6, 6));
-  const DecompositionRequest req = request(0.3);
-  const DecompositionSession& view = session;
-
-  EXPECT_FALSE(session.materialized(req));
-  EXPECT_THROW((void)view.cluster_of(0, req), std::logic_error);
-  EXPECT_THROW((void)view.boundary_arcs(req), std::logic_error);
-
-  // run() alone is not enough: the boundary list and oracle are still
-  // lazy, so the const path keeps refusing until materialize().
-  (void)session.run(req);
-  EXPECT_FALSE(session.materialized(req));
-  EXPECT_THROW((void)view.owner_of(0, req), std::logic_error);
-
-  (void)session.materialize(req);
-  EXPECT_TRUE(session.materialized(req));
-  EXPECT_EQ(view.cluster_of(0, req), session.cluster_of(0, req));
-  EXPECT_EQ(view.num_clusters(req), session.num_clusters(req));
-}
-
-TEST(Session, MaterializeReturnsTheCachedResult) {
-  DecompositionSession session(generators::grid2d(10, 10));
-  const DecompositionRequest req = request(0.3);
-  const DecompositionResult& run_ref = session.run(req);
-  EXPECT_EQ(&session.materialize(req), &run_ref);
-  // Weighted results materialize without an oracle (there is nothing the
-  // unweighted distance oracle could serve).
-  DecompositionSession wsession(mpx::testing::grid3x3_weighted_reference());
-  const DecompositionRequest wreq = request(0.4, 1, "mpx-weighted");
-  (void)wsession.materialize(wreq);
-  EXPECT_TRUE(wsession.materialized(wreq));
-  const DecompositionSession& wview = wsession;
-  EXPECT_THROW((void)wview.estimate_distance(0, 1, wreq),
-               std::invalid_argument);
-}
-
-// The documented server guarantee: after materialize(req), the const
-// query path only reads immutable state, so any number of threads may
-// query concurrently. Run under ASan/TSan-less CI this still catches
-// logic races via wrong answers; under sanitizers it catches UB.
+// Any number of threads may query one entry concurrently, artifacts
+// already built or not. Run without sanitizers this still catches logic
+// races via wrong answers; under sanitizers it catches UB.
 TEST(Session, ConstQueryPathSurvivesConcurrentHammering) {
   const CsrGraph g = generators::grid2d(40, 40);
-  DecompositionSession session((CsrGraph(g)));
+  SharedResultStore store((CsrGraph(g)));
   const DecompositionRequest req = request(0.25);
-  const DecompositionResult& result = session.materialize(req);
-  const std::span<const Edge> boundary = session.boundary_arcs(req);
-  const DecompositionSession& view = session;
+  const auto entry = store.acquire(req).entry;
+  const DecompositionResult& result = entry->result();
+  const std::span<const Edge> boundary = entry->boundary_arcs();
+  const MaterializedDecomposition& view = *entry;
 
   constexpr int kThreads = 8;
   constexpr int kIters = 400;
@@ -328,17 +301,16 @@ TEST(Session, ConstQueryPathSurvivesConcurrentHammering) {
       for (int i = 0; i < kIters; ++i) {
         const auto v = static_cast<vertex_t>((t * 7919 + i * 104729) % n);
         const auto u = static_cast<vertex_t>((t * 104729 + i * 7919) % n);
-        if (view.owner_of(v, req) != result.owner[v]) ++mismatches;
-        if (view.cluster_of(v, req) != result.cluster_of(v)) ++mismatches;
-        if (view.num_clusters(req) != result.num_clusters()) ++mismatches;
-        const std::span<const Edge> b = view.boundary_arcs(req);
+        if (view.owner_of(v) != result.owner[v]) ++mismatches;
+        if (view.cluster_of(v) != result.cluster_of(v)) ++mismatches;
+        if (view.num_clusters() != result.num_clusters()) ++mismatches;
+        const std::span<const Edge> b = view.boundary_arcs();
         if (b.data() != boundary.data() || b.size() != boundary.size()) {
           ++mismatches;
         }
         // Distance estimates must be stable across threads (the oracle is
-        // immutable after materialize); symmetric sampling covers u == v.
-        if (view.estimate_distance(u, v, req) !=
-            view.estimate_distance(u, v, req)) {
+        // immutable once built); symmetric sampling covers u == v.
+        if (view.estimate_distance(u, v) != view.estimate_distance(u, v)) {
           ++mismatches;
         }
       }
@@ -350,18 +322,99 @@ TEST(Session, ConstQueryPathSurvivesConcurrentHammering) {
   // Sequential spot check that the concurrent answers were the right ones.
   const DistanceOracle oracle(g, Decomposition(result.decomposition));
   for (vertex_t v = 0; v < g.num_vertices(); v += 97) {
-    EXPECT_EQ(view.estimate_distance(0, v, req), oracle.estimate(0, v));
+    EXPECT_EQ(view.estimate_distance(0, v), oracle.estimate(0, v));
   }
 }
 
 TEST(Session, UnweightedAlgorithmsRunOnWeightedSessions) {
-  DecompositionSession session(mpx::testing::grid3x3_weighted_reference());
+  SharedResultStore store(mpx::testing::grid3x3_weighted_reference());
   const DecompositionRequest req = request(0.5, 3);
-  const DecompositionResult& result = session.run(req);
+  const DecompositionResult& result = run(store, req);
   EXPECT_FALSE(result.weighted());
   const DecompositionResult direct =
       decompose(mpx::testing::grid3x3_weighted_reference().topology(), req);
   EXPECT_EQ(result.owner, direct.owner);
+}
+
+// --- lazy query artifacts ---------------------------------------------------
+
+// An edgeless graph decomposes into n singleton clusters, so a k x k
+// distance table would need 2^40 entries. Nothing but a distance query
+// may build it.
+TEST(LazyArtifacts, ManySingletonClustersServeWithoutTheOracle) {
+  SharedResultStore store(build_undirected(1u << 20, {}));
+  const SharedResultStore::Acquired got = store.acquire(request(0.5));
+  ASSERT_NE(got.entry, nullptr);
+  EXPECT_EQ(got.entry->num_clusters(), 1u << 20);
+  for (vertex_t v = 0; v < (1u << 20); v += 99991) {
+    EXPECT_EQ(got.entry->owner_of(v), v);
+    EXPECT_LT(got.entry->cluster_of(v), 1u << 20);
+  }
+  EXPECT_TRUE(got.entry->boundary_arcs().empty());
+}
+
+// Eight threads race to build both artifacts of one fresh entry: each is
+// built once and every thread sees the same answers. The TSan job runs
+// this suite.
+TEST(LazyArtifacts, ConcurrentFirstUseBuildsEachArtifactOnce) {
+  const CsrGraph g = generators::grid2d(30, 30);
+  SharedResultStore store((CsrGraph(g)));
+  const auto entry = store.acquire(request(0.5, 5)).entry;
+  const DistanceOracle oracle(g, Decomposition(entry->result().decomposition));
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::span<const Edge>> boundaries(kThreads);
+  std::vector<std::vector<std::uint32_t>> estimates(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Half the threads start with each artifact.
+      if (t % 2 == 0) boundaries[t] = entry->boundary_arcs();
+      for (vertex_t v = 0; v < g.num_vertices(); v += 31) {
+        estimates[t].push_back(entry->estimate_distance(0, v));
+      }
+      if (t % 2 != 0) boundaries[t] = entry->boundary_arcs();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::vector<std::uint32_t> expected;
+  for (vertex_t v = 0; v < g.num_vertices(); v += 31) {
+    expected.push_back(oracle.estimate(0, v));
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    EXPECT_EQ(boundaries[t].data(), boundaries[0].data());
+    EXPECT_EQ(boundaries[t].size(), boundaries[0].size());
+    EXPECT_EQ(estimates[t], expected);
+  }
+  EXPECT_FALSE(boundaries[0].empty());
+}
+
+TEST(LazyArtifacts, EntriesOutliveTheirStore) {
+  const CsrGraph g = generators::grid2d(16, 16);
+  const DecompositionRequest req = request(0.3, 4);
+  std::shared_ptr<const MaterializedDecomposition> entry;
+  {
+    SharedResultStore store((CsrGraph(g)));
+    entry = store.acquire(req).entry;
+  }  // the store (and its copy of the graph) is gone; no artifact built yet
+  const DecompositionResult expected = decompose(g, req);
+  EXPECT_EQ(entry->result().owner, expected.owner);
+  const DistanceOracle oracle(g, Decomposition(expected.decomposition));
+  EXPECT_EQ(entry->estimate_distance(0, g.num_vertices() - 1),
+            oracle.estimate(0, g.num_vertices() - 1));
+  std::size_t cut = 0;
+  for (vertex_t u = 0; u < g.num_vertices(); ++u) {
+    for (const vertex_t v : g.neighbors(u)) {
+      if (u < v && expected.owner[u] != expected.owner[v]) ++cut;
+    }
+  }
+  EXPECT_EQ(entry->boundary_arcs().size(), cut);
 }
 
 // --- SharedResultStore ------------------------------------------------------
@@ -378,24 +431,25 @@ TEST(SharedStore, AcquireMatchesSessionAndCachesFleetWide) {
   EXPECT_EQ(store.computes(), 1u);
   EXPECT_EQ(store.size(), 1u);
 
-  // The materialized entry answers exactly like a session over the same
-  // graph (both draw from the same shared per-seed shift basis).
-  DecompositionSession session((CsrGraph(g)));
-  const DecompositionResult& expected = session.run(req);
+  // The entry answers exactly like an independent store over the same
+  // graph (both draw from the same per-seed shift basis).
+  SharedResultStore reference((CsrGraph(g)));
+  const auto ref = reference.acquire(req).entry;
+  const DecompositionResult& expected = ref->result();
   EXPECT_EQ(cold.entry->result().owner, expected.owner);
   EXPECT_EQ(cold.entry->result().settle, expected.settle);
   EXPECT_EQ(cold.entry->num_clusters(), expected.num_clusters());
   for (vertex_t v = 0; v < g.num_vertices(); v += 13) {
-    EXPECT_EQ(cold.entry->cluster_of(v), session.cluster_of(v, req));
-    EXPECT_EQ(cold.entry->owner_of(v), session.owner_of(v, req));
+    EXPECT_EQ(cold.entry->cluster_of(v), ref->cluster_of(v));
+    EXPECT_EQ(cold.entry->owner_of(v), ref->owner_of(v));
   }
-  const std::span<const Edge> expected_cut = session.boundary_arcs(req);
+  const std::span<const Edge> expected_cut = ref->boundary_arcs();
   const std::span<const Edge> cut = cold.entry->boundary_arcs();
   ASSERT_EQ(cut.size(), expected_cut.size());
   EXPECT_TRUE(std::equal(cut.begin(), cut.end(), expected_cut.begin()));
   for (vertex_t v = 0; v < g.num_vertices(); v += 131) {
     EXPECT_EQ(cold.entry->estimate_distance(0, v),
-              session.estimate_distance(0, v, req));
+              ref->estimate_distance(0, v));
   }
 
   // Re-acquiring is a hit on the same immutable entry, not a recompute.
@@ -495,9 +549,9 @@ TEST(SharedStore, LoadCachedRestoresSavedResultsWarm) {
   const DecompositionRequest req = request(0.3, 9);
   DecompositionResult expected;
   {
-    DecompositionSession session((CsrGraph(g)));
-    expected = session.run(req);
-    session.save_cached(req, path);
+    SharedResultStore saver((CsrGraph(g)));
+    expected = saver.acquire(req).entry->result();
+    saver.save_cached(req, path);
   }
 
   SharedResultStore store((CsrGraph(g)));
@@ -511,8 +565,7 @@ TEST(SharedStore, LoadCachedRestoresSavedResultsWarm) {
 
   // A missing file for a non-resident key is a false return (the lenient
   // warm-restore path; a resident key short-circuits to true without
-  // touching the file, per the session contract); mismatched requests
-  // keep the session's hard error contract.
+  // touching the file); mismatched requests are hard errors.
   EXPECT_FALSE(store.load_cached(request(0.7), dir.file("missing.dec")));
   EXPECT_TRUE(store.load_cached(req, dir.file("missing.dec")));
   EXPECT_THROW(

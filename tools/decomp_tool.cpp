@@ -1,5 +1,5 @@
 // decomp_tool — run, batch, and query graph decompositions through the
-// unified decomposer facade (core/decomposer.hpp) and DecompositionSession
+// unified decomposer facade (core/decomposer.hpp) and SharedResultStore
 // (core/session.hpp). The operational companion of the serving layer: what
 // a service would answer over RPC, this tool answers on the command line,
 // and CI drives it over the golden snapshots under ASan/UBSan.
@@ -9,7 +9,7 @@
 //       one decomposition; prints quality + telemetry. --out saves the
 //       result with its telemetry block (decomposition_io format).
 //   decomp_tool batch <graph> --betas b1,b2,... [opts]
-//       multi-beta batch through one session: shifts are generated once
+//       multi-beta batch through one store: shifts are generated once
 //       per seed and derived per beta. Prints one table row per beta.
 //   decomp_tool query <graph> [opts] [--load <file.dec>] <queries...>
 //       answer queries from a (possibly reloaded) decomposition:
@@ -22,10 +22,10 @@
 //               [--workers N] [--warm <file.dec>] [opts]
 //               [--stats-interval SECS] [--trace <file.json>]
 //       stand up the decomposition server (src/server/) on a Unix-domain
-//       socket (--socket) or loopback TCP port (--port): one worker
-//       session per thread over the shared mmap-ed snapshot. --warm
+//       socket (--socket) or loopback TCP port (--port): worker threads
+//       serve one shared result store over the mmap-ed snapshot. --warm
 //       restores a save_cached file (under the request described by
-//       [opts]) into every worker before serving. --stats-interval dumps
+//       [opts]) into the store before serving. --stats-interval dumps
 //       the live metrics snapshot to stderr every SECS seconds; --trace
 //       records per-request spans and writes Chrome trace-event JSON on
 //       shutdown (docs/OBSERVABILITY.md). Runs until SIGINT / SIGTERM or
@@ -42,13 +42,14 @@
 //              --seed S (default 0), --engine auto|push|pull
 //
 // <graph> is any format io::detect_graph_format understands; `.mpxs`
-// snapshots are mmap-ed zero-copy (session startup is O(header)).
+// snapshots are mmap-ed zero-copy (store startup is O(header)).
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,7 +65,8 @@ namespace {
 
 using mpx::DecompositionRequest;
 using mpx::DecompositionResult;
-using mpx::DecompositionSession;
+using mpx::MaterializedDecomposition;
+using mpx::SharedResultStore;
 
 int usage() {
   std::fprintf(
@@ -245,28 +247,34 @@ bool parse_cli(int argc, char** argv, int first, Cli& cli,
   return !needs_graph || !cli.graph_path.empty();
 }
 
-DecompositionSession open_session(const std::string& path,
-                                  std::uint64_t memory_budget_bytes = 0) {
-  const mpx::io::GraphFileFormat format = mpx::io::detect_graph_format(path);
-  switch (format) {
+std::unique_ptr<SharedResultStore> open_store(
+    const std::string& path, std::uint64_t memory_budget_bytes) {
+  switch (mpx::io::detect_graph_format(path)) {
     case mpx::io::GraphFileFormat::kSnapshot:
     case mpx::io::GraphFileFormat::kWeightedSnapshot: {
       mpx::SessionConfig config;
       config.memory_budget_bytes = memory_budget_bytes;
       // Zero-copy mmap, or paged when the budget demands it.
-      return DecompositionSession::open_snapshot(path, config);
+      return SharedResultStore::open_snapshot(path, config);
     }
     case mpx::io::GraphFileFormat::kWeightedEdgeListText:
-      return DecompositionSession(mpx::io::load_weighted_graph(path));
+      return std::make_unique<SharedResultStore>(
+          mpx::io::load_weighted_graph(path));
     case mpx::io::GraphFileFormat::kEdgeListText:
       break;
   }
-  return DecompositionSession(mpx::io::load_graph(path));
+  return std::make_unique<SharedResultStore>(mpx::io::load_graph(path));
 }
 
-void print_result_line(const DecompositionSession& session,
-                       const DecompositionResult& result) {
-  (void)session;
+void print_graph_line(const std::string& path, const SharedResultStore& store) {
+  std::printf("graph: %s, n=%u, m=%llu%s%s\n", path.c_str(),
+              store.num_vertices(),
+              static_cast<unsigned long long>(store.num_edges()),
+              store.weighted() ? ", weighted" : "",
+              store.paged() ? ", paged (out-of-core)" : "");
+}
+
+void print_result_line(const DecompositionResult& result) {
   const mpx::RunTelemetry& t = result.telemetry;
   std::printf("clusters: %u\n", result.num_clusters());
   std::printf(
@@ -308,25 +316,20 @@ int cmd_algorithms() {
 }
 
 int cmd_run(const Cli& cli) {
-  DecompositionSession session =
-      open_session(cli.graph_path, cli.memory_budget_bytes);
-  std::printf("graph: %s, n=%u, m=%llu%s%s\n", cli.graph_path.c_str(),
-              session.num_vertices(),
-              static_cast<unsigned long long>(session.num_edges()),
-              session.weighted() ? ", weighted" : "",
-              session.paged() ? ", paged (out-of-core)" : "");
+  const auto store = open_store(cli.graph_path, cli.memory_budget_bytes);
+  print_graph_line(cli.graph_path, *store);
   std::printf("run: algo=%s beta=%g seed=%llu\n",
               cli.request.algorithm.c_str(), cli.request.beta,
               static_cast<unsigned long long>(cli.request.seed));
-  const DecompositionResult& result = session.run(cli.request);
-  print_result_line(session, result);
-  const std::size_t cut = session.boundary_arcs(cli.request).size();
-  const mpx::edge_t m = session.num_edges();
+  const auto entry = store->acquire(cli.request).entry;
+  print_result_line(entry->result());
+  const std::size_t cut = entry->boundary_arcs().size();
+  const mpx::edge_t m = store->num_edges();
   std::printf("boundary: %zu cut edges (%.2f%% of m)\n", cut,
               m == 0 ? 0.0 : 100.0 * static_cast<double>(cut) /
                                  static_cast<double>(m));
   if (!cli.out_path.empty()) {
-    session.save_cached(cli.request, cli.out_path);
+    store->save_cached(cli.request, cli.out_path);
     std::printf("wrote %s (decomposition + telemetry block)\n",
                 cli.out_path.c_str());
   }
@@ -338,27 +341,21 @@ int cmd_batch(const Cli& cli) {
     std::fprintf(stderr, "decomp_tool batch: --betas is required\n");
     return 2;
   }
-  DecompositionSession session =
-      open_session(cli.graph_path, cli.memory_budget_bytes);
-  std::printf("graph: %s, n=%u, m=%llu%s%s\n", cli.graph_path.c_str(),
-              session.num_vertices(),
-              static_cast<unsigned long long>(session.num_edges()),
-              session.weighted() ? ", weighted" : "",
-              session.paged() ? ", paged (out-of-core)" : "");
+  const auto store = open_store(cli.graph_path, cli.memory_budget_bytes);
+  print_graph_line(cli.graph_path, *store);
   mpx::WallTimer timer;
-  const std::vector<const DecompositionResult*> results =
-      session.run_batch(cli.request, cli.betas);
+  const std::vector<SharedResultStore::Acquired> results =
+      store->acquire_batch(cli.request, cli.betas);
   const double batch_seconds = timer.seconds();
 
   std::printf("%10s %10s %12s %10s %12s\n", "beta", "clusters", "cut_edges",
               "rounds", "search_secs");
-  DecompositionRequest req = cli.request;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    req.beta = cli.betas[i];
-    const std::size_t cut = session.boundary_arcs(req).size();
+    const MaterializedDecomposition& entry = *results[i].entry;
     std::printf("%10g %10u %12zu %10u %12.6f\n", cli.betas[i],
-                results[i]->num_clusters(), cut, results[i]->telemetry.rounds,
-                results[i]->telemetry.search_seconds);
+                entry.num_clusters(), entry.boundary_arcs().size(),
+                entry.result().telemetry.rounds,
+                entry.result().telemetry.search_seconds);
   }
   std::printf("batch of %zu betas in %.6fs (shifts generated once per seed)\n",
               results.size(), batch_seconds);
@@ -366,10 +363,9 @@ int cmd_batch(const Cli& cli) {
 }
 
 int cmd_query(const Cli& cli) {
-  DecompositionSession session =
-      open_session(cli.graph_path, cli.memory_budget_bytes);
+  const auto store = open_store(cli.graph_path, cli.memory_budget_bytes);
   if (!cli.load_path.empty()) {
-    if (session.load_cached(cli.request, cli.load_path)) {
+    if (store->load_cached(cli.request, cli.load_path)) {
       std::printf("loaded cached decomposition from %s\n",
                   cli.load_path.c_str());
     } else {
@@ -378,7 +374,14 @@ int cmd_query(const Cli& cli) {
       return 1;
     }
   }
-  const mpx::vertex_t n = session.num_vertices();
+  // Acquired on the first query that needs it, so a bad vertex is
+  // reported before any decomposition runs.
+  std::shared_ptr<const MaterializedDecomposition> acquired;
+  const auto entry = [&]() -> const MaterializedDecomposition& {
+    if (acquired == nullptr) acquired = store->acquire(cli.request).entry;
+    return *acquired;
+  };
+  const mpx::vertex_t n = store->num_vertices();
   for (const mpx::vertex_t v : cli.cluster_of) {
     if (v >= n) {
       std::fprintf(stderr, "decomp_tool: vertex %u out of range (n=%u)\n", v,
@@ -386,16 +389,15 @@ int cmd_query(const Cli& cli) {
       return 1;
     }
     std::printf("vertex %u: cluster %u, center %u\n", v,
-                session.cluster_of(v, cli.request),
-                session.owner_of(v, cli.request));
+                entry().cluster_of(v), entry().owner_of(v));
   }
   if (cli.has_distance) {
     if (cli.distance_u >= n || cli.distance_v >= n) {
       std::fprintf(stderr, "decomp_tool: vertex out of range (n=%u)\n", n);
       return 1;
     }
-    const std::uint32_t estimate = session.estimate_distance(
-        cli.distance_u, cli.distance_v, cli.request);
+    const std::uint32_t estimate =
+        entry().estimate_distance(cli.distance_u, cli.distance_v);
     if (estimate == mpx::kInfDist) {
       std::printf("distance(%u, %u) ~ unreachable\n", cli.distance_u,
                   cli.distance_v);
@@ -405,8 +407,7 @@ int cmd_query(const Cli& cli) {
     }
   }
   if (cli.boundary) {
-    const std::span<const mpx::Edge> boundary =
-        session.boundary_arcs(cli.request);
+    const std::span<const mpx::Edge> boundary = entry().boundary_arcs();
     std::printf("boundary: %zu cut edges\n", boundary.size());
     for (std::size_t i = 0; i < boundary.size() && i < 8; ++i) {
       std::printf("  %u - %u\n", boundary[i].u, boundary[i].v);
