@@ -3,9 +3,10 @@
 // namespace). Templated on the graph type so the same claim semantics run
 // over an in-memory CsrGraph and an out-of-core storage::PagedGraph; the
 // engine-facing entry points stay in multi_source_bfs.hpp (CsrGraph) and
-// core/decomposer.cpp (paged). Determinism is unchanged: every
-// cross-thread race is an atomic min over a packed (rank, center) word,
-// so owner/settle arrays are byte-identical across thread counts and
+// core/decomposer.cpp (paged). DialBucketVisitor, the integer-weighted
+// form behind "mpx-bucketed", lives here too. Determinism is unchanged:
+// every cross-thread race is an atomic min over a packed (rank, center)
+// word, so owner/settle arrays are byte-identical across thread counts and
 // graph backends that decode identical adjacency.
 #pragma once
 
@@ -18,6 +19,7 @@
 #include "bfs/traversal.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/reduce.hpp"
+#include "parallel/thread_env.hpp"
 #include "support/assert.hpp"
 #include "support/types.hpp"
 
@@ -162,6 +164,142 @@ struct DelayedBfsVisitor {
     result.owner[v] = msbfs_center_of(word);
     atomic_store(result.settle_round[v], t);
     return true;
+  }
+
+  void settle(vertex_t v, std::uint32_t t) {
+    result.settle_round[v] = t;
+    result.owner[v] = msbfs_center_of(claim[v]);
+  }
+};
+
+/// The weighted form of DelayedBfsVisitor behind "mpx-bucketed": Dial's
+/// bucket queue run as engine rounds, for positive integer arc lengths (a
+/// constructive answer to Section 6's remark that the weighted depth is
+/// "harder to control"). A search that settles u at round s claims its
+/// neighbor v at round s + w(u, v); unit arcs claim in expand() exactly as
+/// DelayedBfsVisitor does, longer ones are held back and applied by
+/// activations() at their arrival round, before that round's expansions.
+/// Every claim applied in round t thus lands on a vertex that settles in
+/// round t, the engine's invariant, and the output equals the sequential
+/// shifted Dijkstra (weighted_partition): integer arrival rounds, with the
+/// (rank, center) word as the total order on ties.
+///
+/// Push only: a pull round would skip the expansions that hold long arcs
+/// back, so WeightedCsrGraph opts out of pull (kGraphSupportsPull).
+/// Preconditions: every arc length is an integer >= 1, and no arrival
+/// round (max start round + max length) reaches kInfDist.
+struct DialBucketVisitor {
+  /// A claim travelling along an arc longer than one round.
+  struct HeldClaim {
+    vertex_t v;
+    std::uint32_t round;  ///< arrival (= settle) round
+    std::uint64_t word;
+  };
+  /// Held claims arriving at one round, as parallel target/word arrays.
+  struct RoundClaims {
+    std::vector<vertex_t> targets;
+    std::vector<std::uint64_t> words;
+  };
+
+  const WeightedCsrGraph& g;
+  std::span<const std::uint32_t> start_round;
+  std::span<const std::uint32_t> rank;
+  ActivationBuckets buckets;
+  MultiSourceBfsResult& result;
+  std::vector<std::uint64_t>& claim;  // workspace-owned, reset per run
+  /// This round's held claims, one buffer per thread (expand() runs
+  /// inside the engine's parallel loop); bucketed by the next round.
+  std::vector<std::vector<HeldClaim>> staged;
+  std::vector<RoundClaims> held;  // by arrival round, grown on demand
+  std::vector<vertex_t> arrivals;  // activations() of the current round
+  std::uint32_t round = 0;
+
+  DialBucketVisitor(const WeightedCsrGraph& graph,
+                    std::span<const std::uint32_t> start_round_in,
+                    std::span<const std::uint32_t> rank_in,
+                    MultiSourceBfsResult& out, MultiSourceBfsWorkspace& ws)
+      : g(graph),
+        start_round(start_round_in),
+        rank(rank_in),
+        buckets(build_buckets(start_round_in, ws)),
+        result(out),
+        claim(ws.claim),
+        staged(static_cast<std::size_t>(std::max(1, num_threads()))) {
+    claim.assign(g.num_vertices(), kMsBfsUnclaimed);
+  }
+
+  std::span<const vertex_t> activations(std::uint32_t t) {
+    round = t;
+    // Bucket the claims held back by last round's expansions (serial:
+    // rounds collide across threads; O(1) per claim).
+    for (std::vector<HeldClaim>& local : staged) {
+      for (const HeldClaim& c : local) {
+        if (held.size() <= c.round) held.resize(c.round + std::size_t{1});
+        held[c.round].targets.push_back(c.v);
+        held[c.round].words.push_back(c.word);
+      }
+      local.clear();
+    }
+    if (t >= held.size() || held[t].targets.empty()) return buckets.bucket(t);
+
+    RoundClaims due = std::move(held[t]);  // releases the bucket
+    parallel_for(std::size_t{0}, due.targets.size(), [&](std::size_t i) {
+      const vertex_t v = due.targets[i];
+      if (!settled(v)) atomic_fetch_min(claim[v], due.words[i]);
+    });
+    // Settled targets and duplicates stay in: offer_self() rejects the
+    // former, the engine dedups the latter.
+    arrivals = std::move(due.targets);
+    const std::span<const vertex_t> starting = buckets.bucket(t);
+    arrivals.insert(arrivals.end(), starting.begin(), starting.end());
+    return arrivals;
+  }
+
+  [[nodiscard]] bool activations_done(std::uint32_t t) const {
+    return (buckets.centers.empty() || t > buckets.max_round) &&
+           t >= held.size();
+  }
+
+  [[nodiscard]] bool settled(vertex_t v) const {
+    return atomic_load(result.settle_round[v]) != kInfDist;
+  }
+
+  /// Round-t arrivals already carry their claim (applied in
+  /// activations()); only the centers starting now add their own word.
+  bool offer_self(vertex_t v) {
+    if (settled(v)) return false;
+    if (start_round[v] == round) {
+      atomic_fetch_min(claim[v], msbfs_priority_word(rank[v], v));
+    }
+    return true;
+  }
+
+  template <typename Emit>
+  void expand(vertex_t u, Emit&& emit) {
+    const vertex_t c = result.owner[u];
+    const std::uint64_t word = msbfs_priority_word(rank[c], c);
+    const std::uint32_t settled_at = result.settle_round[u];
+#if defined(_OPENMP)
+    // omp_get_thread_num() is 0 outside a parallel region, so this also
+    // covers the engine's serial small rounds.
+    std::vector<HeldClaim>& hold =
+        staged[static_cast<std::size_t>(omp_get_thread_num())];
+#else
+    std::vector<HeldClaim>& hold = staged[0];
+#endif
+    const std::span<const vertex_t> nbrs = g.neighbors(u);
+    const std::span<const double> lengths = g.arc_weights(u);
+    for (std::size_t a = 0; a < nbrs.size(); ++a) {
+      const vertex_t v = nbrs[a];
+      if (settled(v)) continue;
+      if (lengths[a] == 1.0) {
+        atomic_fetch_min(claim[v], word);
+        emit(v);
+      } else {
+        hold.push_back(
+            {v, settled_at + static_cast<std::uint32_t>(lengths[a]), word});
+      }
+    }
   }
 
   void settle(vertex_t v, std::uint32_t t) {

@@ -1,6 +1,7 @@
 // The shared traversal engine: one direction-optimizing, level-synchronous
 // round loop behind every search in the library (delayed multi-source BFS,
-// parallel BFS, the baselines).
+// its Dial-bucketed weighted form behind "mpx-bucketed", parallel BFS, the
+// baselines).
 //
 // Each round the engine either
 //   * pushes — frontier vertices offer claims to their neighbors
@@ -29,8 +30,10 @@
 //
 //   struct Visitor {
 //     // Vertices that self-activate at round t (sorted grouping is not
-//     // required; the engine dedups).
-//     std::span<const vertex_t> activations(std::uint32_t t) const;
+//     // required; the engine dedups). Called once per round, in round
+//     // order, before any other call of that round, so a visitor may also
+//     // apply round-t claims it held back in earlier rounds here.
+//     std::span<const vertex_t> activations(std::uint32_t t);
 //     // True when no activation will occur at any round >= t.
 //     bool activations_done(std::uint32_t t) const;
 //     // True once v has been permanently settled.
@@ -44,6 +47,7 @@
 //     // plus any recorded self-activation claim; settle v inline and
 //     // return true iff v settled. Only called with t >= 1 and v
 //     // unsettled; v is owned exclusively by the calling iteration.
+//     // Not needed on graphs that opt out of pull (kGraphSupportsPull).
 //     bool pull(vertex_t v, std::uint32_t t);
 //     // Finalize a push-round candidate at round t (exclusive access).
 //     void settle(vertex_t v, std::uint32_t t);
@@ -78,13 +82,18 @@ enum class TraversalEngine {
 /// Whether a graph type supports the bottom-up (pull) direction.
 ///
 /// Defaults to true; a graph opts out by declaring
-/// `static constexpr bool kSupportsPullTraversal = false;`
-/// (storage::PagedGraph does: a pull round re-scans the adjacency of
-/// every unsettled vertex, which under a bounded block-cache budget
-/// re-decodes most of the file per sweep). On such graphs the engine
-/// silently runs kPull and kAuto as push — results are identical either
-/// way (see the engine-identity note above), only the direction choice
-/// is constrained.
+/// `static constexpr bool kSupportsPullTraversal = false;`. Two do:
+///  * storage::PagedGraph — a pull round re-scans the adjacency of every
+///    unsettled vertex, which under a bounded block-cache budget
+///    re-decodes most of the file per sweep;
+///  * WeightedCsrGraph — its search (Dial rounds, DialBucketVisitor in
+///    bfs/multi_source_bfs_impl.hpp) holds an arc of length w > 1 back in
+///    expand() for w - 1 rounds, and a pull round, which never expands,
+///    would drop those claims.
+/// On such graphs the engine runs kPull and kAuto as push, and the pull
+/// path is not compiled, so their visitors need no pull(). For PagedGraph
+/// the results are identical either way (see the engine-identity note
+/// above); only the direction choice is constrained.
 template <typename Graph>
 inline constexpr bool kGraphSupportsPull = [] {
   if constexpr (requires { Graph::kSupportsPullTraversal; }) {
@@ -370,15 +379,17 @@ TraversalStats run_traversal(const Graph& g, Visitor& vis,
     std::size_t next_size = 0;
     edge_t next_degree = 0;
     if (use_pull) {
-      ++stats.pull_rounds;
-      // Phase 2+3 fused: unclaimed vertices resolve and settle locally.
-      // The sweep fills next's bitmap, so its (empty) sparse form is stale
-      // from here until the ensure_sparse() of a later push round.
-      next.invalidate_sparse();
-      const auto [count, degree] =
-          detail::pull_sweep(g, vis, t, unsettled, next);
-      next_size = count;
-      next_degree = degree;
+      if constexpr (kGraphSupportsPull<Graph>) {
+        ++stats.pull_rounds;
+        // Phase 2+3 fused: unclaimed vertices resolve and settle locally.
+        // The sweep fills next's bitmap, so its (empty) sparse form is
+        // stale from here until the ensure_sparse() of a later push round.
+        next.invalidate_sparse();
+        const auto [count, degree] =
+            detail::pull_sweep(g, vis, t, unsettled, next);
+        next_size = count;
+        next_degree = degree;
+      }
     } else {
       // Phase 2: expand the searches that settled vertices last round.
       if (frontier_size > 0) {

@@ -1,12 +1,13 @@
 #include "core/decomposer.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "baselines/ball_growing.hpp"
 #include "baselines/bgkmpt.hpp"
 #include "bfs/multi_source_bfs_impl.hpp"
-#include "core/bucketed_partition.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_env.hpp"
 #include "storage/paged_graph.hpp"
@@ -172,6 +173,25 @@ DecompositionResult run_mpx_weighted(const WeightedCsrGraph& g,
   return result;
 }
 
+/// Dial rounds need integer arc lengths >= 1, and every arrival round
+/// (at most max start round <= delta_max, plus a length) must stay below
+/// kInfDist. Throws std::invalid_argument otherwise, so a bad request
+/// fails cleanly instead of aborting a serving process.
+void check_dial_lengths(const WeightedCsrGraph& g, double delta_max) {
+  for (const double w : g.weights()) {
+    if (!(w >= 1.0 && w == std::floor(w) &&
+          delta_max + w < static_cast<double>(kInfDist))) {
+      throw std::invalid_argument(
+          "mpx: algorithm 'mpx-bucketed' needs integer edge weights >= 1 "
+          "whose arrival rounds fit in 32 bits (found " + std::to_string(w) +
+          "); use 'mpx-weighted'");
+    }
+  }
+}
+
+/// Integer-weighted MPX: the delayed multi-source BFS in Dial rounds
+/// (detail::DialBucketVisitor) on the shared engine, through the caller's
+/// workspace. req.engine is ignored.
 DecompositionResult run_mpx_bucketed(const WeightedCsrGraph& g,
                                      const DecompositionRequest& req,
                                      DecompositionWorkspace& ws,
@@ -179,28 +199,48 @@ DecompositionResult run_mpx_bucketed(const WeightedCsrGraph& g,
   const WallTimer total;
   DecompositionResult result;
   const PartitionOptions opt = req.partition_options();
+  const vertex_t n = g.num_vertices();
 
   WallTimer phase;
-  shifts_for(g.num_vertices(), opt, ws, basis, result.telemetry);
+  shifts_for(n, opt, ws, basis, result.telemetry);
   result.telemetry.shift_seconds = phase.seconds();
 
   phase.reset();
-  BucketedPartitionResult r =
-      bucketed_weighted_partition_with_shifts(g, ws.shifts);
+  check_dial_lengths(g, ws.shifts.delta_max);
+  MultiSourceBfsResult bfs;
+  bfs.owner.assign(n, kInvalidVertex);
+  bfs.settle_round.assign(n, kInfDist);
+  detail::DialBucketVisitor vis(
+      g, std::span<const std::uint32_t>(ws.shifts.start_round),
+      std::span<const std::uint32_t>(ws.shifts.rank), bfs, ws.bfs);
+  // WeightedCsrGraph opts out of pull, so every round pushes.
+  const TraversalStats stats =
+      run_traversal(g, vis, TraversalParams{}, &ws.bfs.traversal);
   result.telemetry.search_seconds = phase.seconds();
 
   phase.reset();
-  result.weighted_decomposition = std::move(r.decomposition);
-  owner_radii_from_weighted(result.weighted_decomposition, result);
-  const vertex_t n = g.num_vertices();
-  // Integer weights: the settle rounds are exactly the weighted distances.
+  // Integer lengths: the settle rounds are exactly the weighted distances.
+  result.is_weighted = true;
   result.settle.resize(n);
+  result.radii.resize(n);
   parallel_for(vertex_t{0}, n, [&](vertex_t v) {
-    result.settle[v] = static_cast<std::uint32_t>(result.radii[v]);
+    MPX_EXPECTS(bfs.owner[v] != kInvalidVertex);
+    result.settle[v] = bfs.dist_to_owner(v, ws.shifts.start_round);
+    result.radii[v] = static_cast<double>(result.settle[v]);
   });
+  const Decomposition compact(bfs.owner, result.settle);
+  WeightedDecomposition& dec = result.weighted_decomposition;
+  dec.assignment.assign(compact.assignment().begin(),
+                        compact.assignment().end());
+  dec.centers.assign(compact.centers().begin(), compact.centers().end());
+  dec.dist_to_center = result.radii;
+  result.owner = std::move(bfs.owner);
   result.telemetry.assemble_seconds = phase.seconds();
 
-  result.telemetry.rounds = r.rounds;
+  result.telemetry.engine =
+      std::string(traversal_engine_name(TraversalEngine::kPush));
+  result.telemetry.rounds = stats.rounds;
+  result.telemetry.arcs_scanned = stats.arcs_scanned;
   result.telemetry.total_seconds = total.seconds();
   return result;
 }

@@ -24,10 +24,13 @@
 ///    workspace and a precomputed `ShiftBasis` (batch multi-beta runs).
 ///
 /// The legacy free functions (`partition`, `weighted_partition`,
-/// `bucketed_weighted_partition`, `ball_growing_decomposition`,
-/// `bgkmpt_decomposition`) remain as thin compatibility entry points and
-/// produce byte-identical owner/settle output for the same options; new
-/// code should prefer this facade. `SharedResultStore`
+/// `ball_growing_decomposition`, `bgkmpt_decomposition`) remain as thin
+/// compatibility entry points and produce byte-identical owner/settle
+/// output for the same options; new code should prefer this facade.
+/// "mpx-bucketed" has no legacy entry point: it runs the delayed
+/// multi-source BFS in Dial rounds on the same traversal engine as "mpx"
+/// (bfs/traversal.hpp), so every BFS-based algorithm shares one round
+/// loop. `SharedResultStore`
 /// (core/session.hpp) layers caching and queries on top.
 #pragma once
 
@@ -196,7 +199,9 @@ void owner_settle_from_decomposition(const Decomposition& dec,
     const ShiftBasis* basis = nullptr);
 
 /// Run `req` against a weighted graph. Unweighted algorithms run on the
-/// topology; weighted algorithms fill radii.
+/// topology; weighted algorithms fill radii. "mpx-bucketed" throws
+/// std::invalid_argument unless every weight is an integer >= 1 small
+/// enough that arrival rounds stay below kInfDist.
 [[nodiscard]] DecompositionResult decompose(
     const WeightedCsrGraph& g, const DecompositionRequest& req,
     DecompositionWorkspace* workspace = nullptr,

@@ -157,6 +157,11 @@ class CsrGraph {
 /// solver. Weight storage mirrors CsrGraph's owning/view split.
 class WeightedCsrGraph {
  public:
+  /// Traversal-engine capability flag: the weighted search holds long arcs
+  /// back in its push expansions, which a pull round skips, so the engine
+  /// stays on the push path (see kGraphSupportsPull in bfs/traversal.hpp).
+  static constexpr bool kSupportsPullTraversal = false;
+
   /// Empty weighted graph.
   WeightedCsrGraph() = default;
 

@@ -28,9 +28,11 @@
 /// paged under a memory budget).
 ///
 /// The pre-facade entry points (mpx::partition, mpx::weighted_partition,
-/// mpx::bucketed_weighted_partition, mpx::ball_growing_decomposition,
-/// mpx::bgkmpt_decomposition) remain as thin compatibility wrappers with
-/// byte-identical output; prefer mpx::decompose in new code.
+/// mpx::ball_growing_decomposition, mpx::bgkmpt_decomposition) remain as
+/// thin compatibility wrappers with byte-identical output; prefer
+/// mpx::decompose in new code. The integer-weighted parallel partition
+/// has no such wrapper: it is reached only as decompose(g, {.algorithm =
+/// "mpx-bucketed"}), which runs it on the same traversal engine as "mpx".
 #pragma once
 
 /// \namespace mpx
@@ -77,7 +79,6 @@
 #include "bfs/traversal.hpp"
 
 // The MPX partition (S5)
-#include "core/bucketed_partition.hpp"
 #include "core/decomposer.hpp"
 #include "core/decomposition.hpp"
 #include "core/decomposition_io.hpp"

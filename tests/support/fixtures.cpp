@@ -4,6 +4,7 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "support/random.hpp"
 
 namespace mpx::testing {
 
@@ -61,6 +62,20 @@ WeightedCsrGraph grid3x3_weighted_reference() {
   }
   return build_undirected_weighted(grid.num_vertices(),
                                    std::span<const WeightedEdge>(edges));
+}
+
+WeightedCsrGraph integer_weighted(const CsrGraph& g, std::uint64_t seed,
+                                  std::uint32_t max_w) {
+  const std::vector<Edge> edges = edge_list(g);
+  std::vector<WeightedEdge> weighted;
+  weighted.reserve(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    weighted.push_back(
+        {edges[i].u, edges[i].v,
+         1.0 + static_cast<double>(hash_stream(seed, i) % max_w)});
+  }
+  return build_undirected_weighted(g.num_vertices(),
+                                   std::span<const WeightedEdge>(weighted));
 }
 
 Decomposition grid3x3_reference_decomposition() {

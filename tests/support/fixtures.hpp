@@ -8,6 +8,7 @@
 // added here propagates to all of them.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,12 @@ struct NamedGraph {
 /// exactly-representable per-edge weights (multiples of 0.25), so golden
 /// files built from it are byte-stable across platforms.
 [[nodiscard]] WeightedCsrGraph grid3x3_weighted_reference();
+
+/// `g` with a deterministic integer length in [1, max_w] on every edge
+/// (hashed from (seed, edge index)) — the input "mpx-bucketed" accepts.
+[[nodiscard]] WeightedCsrGraph integer_weighted(const CsrGraph& g,
+                                                std::uint64_t seed,
+                                                std::uint32_t max_w);
 
 /// Hand-authored two-piece decomposition of generators::grid2d(3, 3),
 /// valid under verify_decomposition. Integer-only construction, so the

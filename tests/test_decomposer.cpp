@@ -12,7 +12,6 @@
 
 #include "baselines/ball_growing.hpp"
 #include "baselines/bgkmpt.hpp"
-#include "core/bucketed_partition.hpp"
 #include "core/decomposer.hpp"
 #include "core/partition.hpp"
 #include "core/weighted_partition.hpp"
@@ -82,8 +81,6 @@ TEST(Validation, RejectsNaNBeta) {
   EXPECT_THROW((void)partition(g, opt), std::invalid_argument);
   const WeightedCsrGraph wg = with_unit_weights(g);
   EXPECT_THROW((void)weighted_partition(wg, opt), std::invalid_argument);
-  EXPECT_THROW((void)bucketed_weighted_partition(wg, opt),
-               std::invalid_argument);
   BallGrowingOptions bopt;
   bopt.beta = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((void)ball_growing_decomposition(g, bopt),
@@ -91,6 +88,26 @@ TEST(Validation, RejectsNaNBeta) {
   BgkmptOptions gopt;
   gopt.beta = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((void)bgkmpt_decomposition(g, gopt), std::invalid_argument);
+}
+
+TEST(Validation, BucketedRejectsNonIntegerAndOverflowingWeights) {
+  DecompositionRequest req;
+  req.algorithm = "mpx-bucketed";
+  req.beta = 0.4;
+  req.seed = 7;
+  // Weights 1.25 and 1.5: Dial rounds need integer lengths. The facade
+  // throws (a serving process answers kInvalidRequest) instead of aborting.
+  EXPECT_THROW((void)decompose(mpx::testing::grid3x3_weighted_reference(), req),
+               std::invalid_argument);
+  // An integer length whose arrival round would reach kInfDist.
+  const WeightedEdge huge[] = {{0, 1, 4294967296.0}};
+  EXPECT_THROW(
+      (void)decompose(build_undirected_weighted(2, huge), req),
+      std::invalid_argument);
+  // The sequential shifted Dijkstra takes any positive weights.
+  req.algorithm = "mpx-weighted";
+  EXPECT_NO_THROW(
+      (void)decompose(mpx::testing::grid3x3_weighted_reference(), req));
 }
 
 TEST(Validation, RejectsUnknownAlgorithm) {
@@ -199,7 +216,15 @@ TEST(FacadeLegacyIdentity, WeightedAlgorithmsAcrossFixturesAndThreads) {
   fixtures.push_back({"grid3x3_weighted_reference", reference, false});
   for (const auto& [name, g] : mpx::testing::small_graphs()) {
     fixtures.push_back({name + "_unit", with_unit_weights(g), true});
+    fixtures.push_back(
+        {name + "_int", mpx::testing::integer_weighted(g, 3, 5), true});
   }
+  // Large enough that some rounds leave the engine's serial small-round
+  // path, so held-back claims are staged by several threads.
+  fixtures.push_back(
+      {"rmat13_int",
+       mpx::testing::integer_weighted(generators::rmat(13, 8.0, 4), 9, 6),
+       true});
 
   for (const WeightedFixture& fixture : fixtures) {
     SCOPED_TRACE(fixture.name);
@@ -226,19 +251,26 @@ TEST(FacadeLegacyIdentity, WeightedAlgorithmsAcrossFixturesAndThreads) {
       }
     }
     if (fixture.integer_weights) {
-      const BucketedPartitionResult legacy =
-          bucketed_weighted_partition(fixture.graph, opt);
+      // The parallel Dial rounds against the sequential shifted Dijkstra
+      // oracle: identical pieces; radii equal up to the oracle's float
+      // sums.
+      const WeightedDecomposition oracle =
+          weighted_partition(fixture.graph, opt);
       req.algorithm = "mpx-bucketed";
       for (const int threads : kThreadCounts) {
         SCOPED_TRACE("mpx-bucketed threads=" + std::to_string(threads));
         ScopedNumThreads guard(threads);
         const DecompositionResult result = decompose(fixture.graph, req);
         EXPECT_TRUE(result.weighted());
-        EXPECT_EQ(result.radii, legacy.decomposition.dist_to_center);
-        EXPECT_EQ(result.weighted_decomposition.assignment,
-                  legacy.decomposition.assignment);
-        // Integer weights: settle rounds equal the weighted distances.
+        // Every vertex settles once and is expanded once.
+        EXPECT_EQ(result.telemetry.arcs_scanned, fixture.graph.num_arcs());
+        EXPECT_EQ(result.weighted_decomposition.assignment, oracle.assignment);
+        EXPECT_EQ(result.weighted_decomposition.centers, oracle.centers);
+        ASSERT_EQ(result.radii.size(), oracle.dist_to_center.size());
         for (vertex_t v = 0; v < result.num_vertices(); ++v) {
+          EXPECT_EQ(result.owner[v], oracle.centers[oracle.assignment[v]]);
+          EXPECT_NEAR(result.radii[v], oracle.dist_to_center[v], 1e-9);
+          // Integer weights: settle rounds equal the weighted distances.
           EXPECT_EQ(static_cast<double>(result.settle[v]), result.radii[v]);
         }
       }
@@ -261,6 +293,27 @@ TEST(Workspace, ReuseIsByteIdenticalToColdCalls) {
         EXPECT_EQ(warm.settle, cold.settle);
         EXPECT_EQ(warm.decomposition.num_clusters(),
                   cold.decomposition.num_clusters());
+      }
+    }
+  }
+  // The weighted path reuses the same workspace: "mpx-bucketed" on
+  // integer-weighted fixtures, after the unweighted runs above.
+  for (const auto& [name, g] : mpx::testing::small_graphs()) {
+    SCOPED_TRACE(name + "_int");
+    const WeightedCsrGraph wg = mpx::testing::integer_weighted(g, 3, 5);
+    for (const std::uint64_t seed : {1ull, 2ull}) {
+      for (const double beta : {0.5, 0.1}) {
+        DecompositionRequest req;
+        req.algorithm = "mpx-bucketed";
+        req.beta = beta;
+        req.seed = seed;
+        const DecompositionResult cold = decompose(wg, req);
+        const DecompositionResult warm = decompose(wg, req, &workspace);
+        EXPECT_EQ(warm.owner, cold.owner);
+        EXPECT_EQ(warm.settle, cold.settle);
+        EXPECT_EQ(warm.radii, cold.radii);
+        EXPECT_EQ(warm.weighted_decomposition.assignment,
+                  cold.weighted_decomposition.assignment);
       }
     }
   }

@@ -325,6 +325,27 @@ TEST(Server, RejectsDistanceEstimatesForWeightedAlgorithms) {
   }
 }
 
+TEST(Server, RejectsFractionalWeightsForBucketedAndKeepsServing) {
+  // grid3x3_weighted_reference carries weights 1.25 and 1.5, which Dial
+  // rounds cannot schedule: the run is refused as an invalid request, and
+  // the same connection goes on serving the sequential weighted partition.
+  mpx::testing::TempDir dir("mpx_server");
+  const std::string path = dir.file("grid_w.mpxs");
+  io::save_snapshot(path, mpx::testing::grid3x3_weighted_reference());
+  ServedSnapshot served(dir, path, 1);
+  DecompClient client = served.connect();
+  try {
+    (void)client.run(request(0.4, 7, "mpx-bucketed"));
+    FAIL() << "expected ServerError";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidRequest);
+  }
+  const RunResponse run = client.run(request(0.4, 7, "mpx-weighted"));
+  EXPECT_TRUE(run.is_weighted);
+  EXPECT_EQ(run.num_clusters,
+            served.expected(request(0.4, 7, "mpx-weighted")).num_clusters());
+}
+
 TEST(Server, AnswersMalformedBytesWithErrorResponseAndSurvives) {
   mpx::testing::TempDir dir("mpx_server");
   const std::string path = dir.file("grid.mpxs");
