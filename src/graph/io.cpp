@@ -11,6 +11,7 @@
 
 #include "graph/builder.hpp"
 #include "graph/snapshot.hpp"
+#include "support/atomic_file.hpp"
 
 namespace mpx::io {
 namespace {
@@ -153,15 +154,13 @@ WeightedCsrGraph read_weighted_edge_list(std::istream& in) {
 }
 
 void save_edge_list(const std::string& file_path, const CsrGraph& g) {
-  std::ofstream out(file_path);
-  if (!out) throw std::runtime_error("mpx::io: cannot open " + file_path);
-  write_edge_list(out, g);
+  write_file_atomically(file_path,
+                        [&](std::ostream& out) { write_edge_list(out, g); });
 }
 
 void save_edge_list(const std::string& file_path, const WeightedCsrGraph& g) {
-  std::ofstream out(file_path);
-  if (!out) throw std::runtime_error("mpx::io: cannot open " + file_path);
-  write_edge_list(out, g);
+  write_file_atomically(file_path,
+                        [&](std::ostream& out) { write_edge_list(out, g); });
 }
 
 CsrGraph load_edge_list(const std::string& file_path) {

@@ -32,8 +32,10 @@ void write_edge_list(std::ostream& out, const WeightedCsrGraph& g);
 /// Weighted counterpart of `read_edge_list`; rows carry a positive weight.
 [[nodiscard]] WeightedCsrGraph read_weighted_edge_list(std::istream& in);
 
-/// File-path conveniences. Throw std::runtime_error if the file cannot be
-/// opened; parse failures are rethrown with "path:line:" context.
+/// File-path conveniences. The writers replace the file atomically
+/// (support/atomic_file.hpp) and throw std::runtime_error if it cannot be
+/// written; the readers throw if it cannot be opened and rethrow parse
+/// failures with "path:line:" context.
 void save_edge_list(const std::string& file_path, const CsrGraph& g);
 /// Weighted file-path writer.
 void save_edge_list(const std::string& file_path, const WeightedCsrGraph& g);

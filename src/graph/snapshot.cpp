@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <numeric>
@@ -257,146 +256,27 @@ void save_sections_v2(const std::string& path, std::span<const edge_t> offsets,
   });
 }
 
-std::uint64_t file_size_or_fail(const std::string& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (ec) snap_fail(path, "cannot stat: " + ec.message());
-  return static_cast<std::uint64_t>(size);
-}
-
-SnapshotHeader read_header(std::istream& in, const std::string& path) {
-  SnapshotHeader h{};
-  in.read(reinterpret_cast<char*>(&h), sizeof(h));
-  if (in.gcount() != sizeof(h)) {
-    snap_fail(path, "file shorter than the 128-byte header");
-  }
-  return h;
-}
-
-/// Read the version field only (with magic + supported-set validation) so
-/// every public entry point can dispatch before committing to a header
-/// layout.
-std::uint32_t probe_version(const std::string& path,
-                            std::uint64_t file_bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) snap_fail(path, "cannot open");
-  unsigned char head[16] = {};
-  in.read(reinterpret_cast<char*>(head), sizeof(head));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(head)) {
-    snap_fail(path, "file shorter than the 128-byte header");
-  }
-  return detail::snapshot_version_of(head, file_bytes, path);
-}
-
-/// Owned-buffer section loads shared by load_snapshot and
-/// load_weighted_snapshot (v1). Verifies checksum + structure.
-struct LoadedSections {
-  std::vector<edge_t> offsets;
-  std::vector<vertex_t> targets;
-  std::vector<double> weights;
-  SnapshotHeader header;
-};
-
-LoadedSections load_sections(const std::string& path) {
-  const std::uint64_t file_bytes = file_size_or_fail(path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) snap_fail(path, "cannot open");
-  LoadedSections s;
-  s.header = read_header(in, path);
-  validate_header(s.header, file_bytes, path);
-
-  const auto read_section = [&](std::uint64_t offset, std::uint64_t bytes,
-                                void* into) {
-    if (bytes == 0) return;  // edgeless section (e.g. weighted, m == 0)
-    in.seekg(static_cast<std::streamoff>(offset));
-    in.read(static_cast<char*>(into), static_cast<std::streamsize>(bytes));
-    if (static_cast<std::uint64_t>(in.gcount()) != bytes) {
-      snap_fail(path, "short read (truncated file?)");
+/// Shared body of the options-taking writers, after placement: checks the
+/// version/tier pair and hands the sections to that version's writer.
+void save_with_options(const std::string& path,
+                       std::span<const edge_t> offsets,
+                       std::span<const vertex_t> targets,
+                       std::span<const double> weights, bool weighted,
+                       const SnapshotWriteOptions& options) {
+  if (options.version == kSnapshotVersion) {
+    if (options.tier != SnapshotTier::kHot) {
+      snap_fail(path, "the cold tier requires format version 2");
     }
-  };
-  s.offsets.resize(s.header.num_vertices + 1);
-  read_section(s.header.offsets_offset, s.header.offsets_bytes,
-               s.offsets.data());
-  s.targets.resize(s.header.num_arcs);
-  read_section(s.header.targets_offset, s.header.targets_bytes,
-               s.targets.data());
-  if ((s.header.flags & kSnapshotFlagWeighted) != 0) {
-    s.weights.resize(s.header.num_arcs);
-    read_section(s.header.weights_offset, s.header.weights_bytes,
-                 s.weights.data());
+    save_sections(path, offsets, targets, weights, weighted);
+    return;
   }
-  if (section_checksum(s.offsets, s.targets, s.weights) != s.header.checksum) {
-    snap_fail(path, "checksum mismatch (corrupt payload)");
+  if (options.version != kSnapshotVersion2) {
+    snap_fail(path, "cannot write format version " +
+                        std::to_string(options.version) +
+                        " (this writer supports versions 1 and 2)");
   }
-  detail::validate_structure(s.offsets, s.targets, s.weights, path);
-  return s;
-}
-
-/// Hot v2 sections as spans over a whole-file view (mmap when available).
-/// Always validates header + structure; section checksums only when asked
-/// (they force every page resident).
-struct ViewedSectionsV2 {
-  detail::SnapshotFileView view;
-  SnapshotHeaderV2 header;
-  std::span<const edge_t> offsets;
-  std::span<const vertex_t> targets;
-  std::span<const double> weights;  // empty when unweighted
-};
-
-ViewedSectionsV2 view_sections_v2_hot(const std::string& path,
-                                      bool verify_checksums) {
-  ViewedSectionsV2 s;
-  s.view = detail::snapshot_file_view(path);
-  s.header = detail::validate_header_v2(s.view.data, s.view.bytes, path);
-  if ((s.header.flags & kSnapshotFlagColdTargets) != 0) {
-    snap_fail(path, "cold-tier snapshot cannot be viewed raw");
-  }
-  const unsigned char* base = s.view.data;
-  s.offsets = {
-      reinterpret_cast<const edge_t*>(base + s.header.offsets_offset),
-      static_cast<std::size_t>(s.header.num_vertices + 1)};
-  s.targets = {
-      reinterpret_cast<const vertex_t*>(base + s.header.targets_offset),
-      static_cast<std::size_t>(s.header.num_arcs)};
-  if ((s.header.flags & kSnapshotFlagWeighted) != 0) {
-    s.weights = {
-        reinterpret_cast<const double*>(base + s.header.weights_offset),
-        static_cast<std::size_t>(s.header.num_arcs)};
-  }
-  if (verify_checksums) {
-    if (bytes_checksum(s.offsets.data(), s.offsets.size_bytes()) !=
-        s.header.offsets_checksum) {
-      snap_fail(path, "offsets section checksum mismatch");
-    }
-    if (bytes_checksum(s.targets.data(), s.targets.size_bytes()) !=
-        s.header.targets_checksum) {
-      snap_fail(path, "targets section checksum mismatch");
-    }
-    if (bytes_checksum(s.weights.data(), s.weights.size_bytes()) !=
-        s.header.weights_checksum) {
-      snap_fail(path, "weights section checksum mismatch");
-    }
-  }
-  detail::validate_structure(s.offsets, s.targets, s.weights, path);
-  return s;
-}
-
-/// Hot v2 load into owned buffers (always checksum-verified).
-LoadedSections load_sections_v2_hot(const std::string& path) {
-  ViewedSectionsV2 s = view_sections_v2_hot(path, /*verify_checksums=*/true);
-  LoadedSections out;
-  out.offsets.assign(s.offsets.begin(), s.offsets.end());
-  out.targets.assign(s.targets.begin(), s.targets.end());
-  out.weights.assign(s.weights.begin(), s.weights.end());
-  // Carry the fields shared with the v1 header so callers can stay
-  // version-agnostic about n / arcs / flags.
-  out.header = SnapshotHeader{};
-  std::memcpy(out.header.magic, kSnapshotMagic, sizeof(kSnapshotMagic));
-  out.header.version = s.header.version;
-  out.header.flags = s.header.flags;
-  out.header.num_vertices = s.header.num_vertices;
-  out.header.num_arcs = s.header.num_arcs;
-  return out;
+  save_sections_v2(path, offsets, targets, weights, weighted, options.tier,
+                   options.block_size);
 }
 
 SnapshotInfo info_from_v1(const SnapshotHeader& h, std::uint64_t file_bytes) {
@@ -435,56 +315,111 @@ SnapshotInfo info_from_v2(const SnapshotHeaderV2& h, std::uint64_t file_bytes) {
   return info;
 }
 
-/// The shallow cold verification half shared by verify_snapshot and
-/// verify_snapshot_deep: all four section checksums, block-index geometry,
-/// and the degree-stream decode. Returns the decoded offsets so the deep
-/// pass can reuse them.
-std::vector<edge_t> verify_cold_shallow(const detail::SnapshotFileView& view,
-                                        const SnapshotHeaderV2& h,
-                                        const std::string& path) {
-  const unsigned char* base = view.data;
-  if (bytes_checksum(base + h.offsets_offset, h.offsets_bytes) !=
-      h.offsets_checksum) {
-    snap_fail(path, "offsets section checksum mismatch");
+/// A validated header of either version.
+struct CheckedHeader {
+  SnapshotInfo info;
+  /// The whole v2 header (zero for v1): its section checksums are not part
+  /// of SnapshotInfo.
+  SnapshotHeaderV2 v2{};
+};
+
+/// The one header-validation step of every reader. `head` holds the
+/// file's first bytes (zero-filled past the end of a short file); the
+/// version is read once and that version's header validated once against
+/// `file_bytes`.
+CheckedHeader check_header(const unsigned char* head, std::uint64_t file_bytes,
+                           const std::string& path) {
+  CheckedHeader h;
+  if (detail::snapshot_version_of(head, file_bytes, path) ==
+      kSnapshotVersion2) {
+    h.v2 = detail::validate_header_v2(head, file_bytes, path);
+    h.info = info_from_v2(h.v2, file_bytes);
+    return h;
   }
-  if (bytes_checksum(base + h.targets_offset, h.targets_bytes) !=
-      h.targets_checksum) {
-    snap_fail(path, "targets section checksum mismatch");
+  SnapshotHeader v1{};
+  std::memcpy(&v1, head, sizeof(v1));
+  validate_header(v1, file_bytes, path);
+  h.info = info_from_v1(v1, file_bytes);
+  return h;
+}
+
+/// Throws "<what> checksum mismatch" unless `bytes` hash to `want`.
+void expect_checksum(const void* data, std::uint64_t bytes, std::uint64_t want,
+                     const std::string& path, const std::string& what) {
+  if (bytes_checksum(data, bytes) != want) {
+    snap_fail(path, what + " checksum mismatch");
   }
-  if (bytes_checksum(base + h.block_index_offset, h.block_index_bytes) !=
-      h.block_index_checksum) {
-    snap_fail(path, "block index checksum mismatch");
+}
+
+/// A snapshot opened by `open_mapped`. For v1 and hot v2 files the spans
+/// alias `view`; for a cold file they are empty.
+struct MappedSnapshot {
+  detail::SnapshotFileView view;
+  CheckedHeader header;
+  std::span<const edge_t> offsets;
+  std::span<const vertex_t> targets;
+  std::span<const double> weights;  // empty when unweighted
+};
+
+/// The one open path behind every reader: maps `path` once, validates its
+/// header once and, for v1 and hot v2 files, returns the raw sections as
+/// spans over the mapping. Section checksums (v1: the whole-file chain;
+/// v2: offsets, targets, weights) are checked only when `verify_checksums`
+/// is set, because they force every page resident; the CSR structure is
+/// always validated. A cold file returns after its header: its sections
+/// are compressed, and SnapshotBlockReader validates them.
+MappedSnapshot open_mapped(const std::string& path, bool verify_checksums) {
+  MappedSnapshot s;
+  s.view = detail::snapshot_file_view(path);
+  s.header = check_header(s.view.data, s.view.bytes, path);
+  const SnapshotInfo& info = s.header.info;
+  if (info.cold()) return s;
+  const unsigned char* base = s.view.data;
+  s.offsets = {reinterpret_cast<const edge_t*>(base + info.offsets_offset),
+               static_cast<std::size_t>(info.num_vertices + 1)};
+  s.targets = {reinterpret_cast<const vertex_t*>(base + info.targets_offset),
+               static_cast<std::size_t>(info.num_arcs)};
+  if (info.weighted()) {
+    s.weights = {reinterpret_cast<const double*>(base + info.weights_offset),
+                 static_cast<std::size_t>(info.num_arcs)};
   }
-  if (bytes_checksum(base + h.weights_offset,
-                     (h.flags & kSnapshotFlagWeighted) != 0 ? h.weights_bytes
-                                                            : 0) !=
-      h.weights_checksum) {
-    snap_fail(path, "weights section checksum mismatch");
+  if (verify_checksums) {
+    if (info.version == kSnapshotVersion) {
+      if (section_checksum(s.offsets, s.targets, s.weights) != info.checksum) {
+        snap_fail(path, "checksum mismatch (corrupt payload)");
+      }
+    } else {
+      const SnapshotHeaderV2& h = s.header.v2;
+      expect_checksum(s.offsets.data(), s.offsets.size_bytes(),
+                      h.offsets_checksum, path, "offsets section");
+      expect_checksum(s.targets.data(), s.targets.size_bytes(),
+                      h.targets_checksum, path, "targets section");
+      expect_checksum(s.weights.data(), s.weights.size_bytes(),
+                      h.weights_checksum, path, "weights section");
+    }
   }
-  const std::size_t num_blocks =
-      static_cast<std::size_t>(h.block_index_bytes /
-                               sizeof(codec::BlockIndexEntry));
-  std::vector<codec::BlockIndexEntry> index(num_blocks);
-  if (!index.empty()) {
-    std::memcpy(index.data(), base + h.block_index_offset,
-                h.block_index_bytes);
-  }
-  detail::validate_block_index(h, index, path);
-  // Codec errors carry their own precise reason; let them propagate.
-  return codec::decode_degree_section(
-      {base + h.offsets_offset, static_cast<std::size_t>(h.offsets_bytes)},
-      h.num_vertices, h.num_arcs);
+  detail::validate_structure(s.offsets, s.targets, s.weights, path);
+  return s;
+}
+
+/// Rejects a file of the wrong kind, naming the `family` ("load" or "map")
+/// reader that does accept it.
+void require_kind(const SnapshotInfo& info, bool weighted,
+                  const std::string& path, const std::string& family) {
+  if (info.weighted() == weighted) return;
+  snap_fail(path, weighted ? "unweighted snapshot; use " + family + "_snapshot"
+                           : "weighted snapshot; use " + family +
+                                 "_weighted_snapshot");
 }
 
 }  // namespace
 
 void save_snapshot(const std::string& path, const CsrGraph& g) {
-  save_sections(path, g.offsets(), g.targets(), {}, /*weighted=*/false);
+  save_snapshot(path, g, {.version = kSnapshotVersion});
 }
 
 void save_snapshot(const std::string& path, const WeightedCsrGraph& g) {
-  save_sections(path, g.topology().offsets(), g.topology().targets(),
-                g.weights(), /*weighted=*/true);
+  save_snapshot(path, g, {.version = kSnapshotVersion});
 }
 
 std::vector<vertex_t> degree_descending_permutation(const CsrGraph& g) {
@@ -591,20 +526,8 @@ void save_snapshot(const std::string& path, const CsrGraph& g,
                   placed);
     return;
   }
-  if (options.version == kSnapshotVersion) {
-    if (options.tier != SnapshotTier::kHot) {
-      snap_fail(path, "the cold tier requires format version 2");
-    }
-    save_sections(path, g.offsets(), g.targets(), {}, /*weighted=*/false);
-    return;
-  }
-  if (options.version != kSnapshotVersion2) {
-    snap_fail(path, "cannot write format version " +
-                        std::to_string(options.version) +
-                        " (this writer supports versions 1 and 2)");
-  }
-  save_sections_v2(path, g.offsets(), g.targets(), {}, /*weighted=*/false,
-                   options.tier, options.block_size);
+  save_with_options(path, g.offsets(), g.targets(), {}, /*weighted=*/false,
+                    options);
 }
 
 void save_snapshot(const std::string& path, const WeightedCsrGraph& g,
@@ -618,243 +541,98 @@ void save_snapshot(const std::string& path, const WeightedCsrGraph& g,
         placed);
     return;
   }
-  if (options.version == kSnapshotVersion) {
-    if (options.tier != SnapshotTier::kHot) {
-      snap_fail(path, "the cold tier requires format version 2");
-    }
-    save_sections(path, g.topology().offsets(), g.topology().targets(),
-                  g.weights(), /*weighted=*/true);
-    return;
-  }
-  if (options.version != kSnapshotVersion2) {
-    snap_fail(path, "cannot write format version " +
-                        std::to_string(options.version) +
-                        " (this writer supports versions 1 and 2)");
-  }
-  save_sections_v2(path, g.topology().offsets(), g.topology().targets(),
-                   g.weights(), /*weighted=*/true, options.tier,
-                   options.block_size);
+  save_with_options(path, g.topology().offsets(), g.topology().targets(),
+                    g.weights(), /*weighted=*/true, options);
 }
 
-// The loaders construct with CsrGraph::Trusted: validate_structure has
-// already run the exact same O(n + m) checks (with recoverable errors),
-// so the constructor contract scans would only repeat them on the
-// ingestion hot path.
+// Every reader opens through open_mapped. The loaders copy its spans and
+// construct with CsrGraph::Trusted: validate_structure has already run the
+// exact same O(n + m) checks (with recoverable errors), so the constructor
+// contract scans would only repeat them on the ingestion hot path. A cold
+// file has no raw spans, so it materializes through SnapshotBlockReader.
 
 CsrGraph load_snapshot(const std::string& path) {
-  const std::uint64_t file_bytes = file_size_or_fail(path);
-  if (probe_version(path, file_bytes) == kSnapshotVersion2) {
-    const detail::SnapshotFileView view = detail::snapshot_file_view(path);
-    const SnapshotHeaderV2 h =
-        detail::validate_header_v2(view.data, view.bytes, path);
-    if ((h.flags & kSnapshotFlagWeighted) != 0) {
-      snap_fail(path, "weighted snapshot; use load_weighted_snapshot");
-    }
-    if ((h.flags & kSnapshotFlagColdTargets) != 0) {
-      const SnapshotBlockReader reader(path);
-      return reader.materialize();
-    }
-    LoadedSections s = load_sections_v2_hot(path);
-    return CsrGraph(std::move(s.offsets), std::move(s.targets),
-                    CsrGraph::Trusted{});
-  }
-  LoadedSections s = load_sections(path);
-  if ((s.header.flags & kSnapshotFlagWeighted) != 0) {
-    snap_fail(path, "weighted snapshot; use load_weighted_snapshot");
-  }
-  return CsrGraph(std::move(s.offsets), std::move(s.targets),
-                  CsrGraph::Trusted{});
+  const MappedSnapshot s = open_mapped(path, /*verify_checksums=*/true);
+  require_kind(s.header.info, /*weighted=*/false, path, "load");
+  if (s.header.info.cold()) return SnapshotBlockReader(path).materialize();
+  return CsrGraph({s.offsets.begin(), s.offsets.end()},
+                  {s.targets.begin(), s.targets.end()}, CsrGraph::Trusted{});
 }
 
 WeightedCsrGraph load_weighted_snapshot(const std::string& path) {
-  const std::uint64_t file_bytes = file_size_or_fail(path);
-  if (probe_version(path, file_bytes) == kSnapshotVersion2) {
-    const detail::SnapshotFileView view = detail::snapshot_file_view(path);
-    const SnapshotHeaderV2 h =
-        detail::validate_header_v2(view.data, view.bytes, path);
-    if ((h.flags & kSnapshotFlagWeighted) == 0) {
-      snap_fail(path, "unweighted snapshot; use load_snapshot");
-    }
-    if ((h.flags & kSnapshotFlagColdTargets) != 0) {
-      const SnapshotBlockReader reader(path);
-      return reader.materialize_weighted();
-    }
-    LoadedSections s = load_sections_v2_hot(path);
-    return WeightedCsrGraph(
-        CsrGraph(std::move(s.offsets), std::move(s.targets),
-                 CsrGraph::Trusted{}),
-        std::move(s.weights), CsrGraph::Trusted{});
-  }
-  LoadedSections s = load_sections(path);
-  if ((s.header.flags & kSnapshotFlagWeighted) == 0) {
-    snap_fail(path, "unweighted snapshot; use load_snapshot");
+  const MappedSnapshot s = open_mapped(path, /*verify_checksums=*/true);
+  require_kind(s.header.info, /*weighted=*/true, path, "load");
+  if (s.header.info.cold()) {
+    return SnapshotBlockReader(path).materialize_weighted();
   }
   return WeightedCsrGraph(
-      CsrGraph(std::move(s.offsets), std::move(s.targets),
-               CsrGraph::Trusted{}),
-      std::move(s.weights), CsrGraph::Trusted{});
+      CsrGraph({s.offsets.begin(), s.offsets.end()},
+               {s.targets.begin(), s.targets.end()}, CsrGraph::Trusted{}),
+      {s.weights.begin(), s.weights.end()}, CsrGraph::Trusted{});
 }
 
 CsrGraph map_snapshot(const std::string& path, bool verify_checksum) {
-#if MPX_SNAPSHOT_HAVE_MMAP
-  const std::uint64_t file_bytes = file_size_or_fail(path);
-  if (probe_version(path, file_bytes) == kSnapshotVersion2) {
-    const detail::SnapshotFileView probe = detail::snapshot_file_view(path);
-    const SnapshotHeaderV2 h =
-        detail::validate_header_v2(probe.data, probe.bytes, path);
-    if ((h.flags & kSnapshotFlagWeighted) != 0) {
-      snap_fail(path, "weighted snapshot; use map_weighted_snapshot");
-    }
-    if ((h.flags & kSnapshotFlagColdTargets) != 0) {
-      // Cold spans cannot alias the mapping; materialize instead.
-      const SnapshotBlockReader reader(path);
-      return reader.materialize();
-    }
-    ViewedSectionsV2 s = view_sections_v2_hot(path, verify_checksum);
-    return CsrGraph(s.offsets, s.targets, std::move(s.view.keepalive),
-                    CsrGraph::Trusted{});
-  }
-  // v1
-  {
-    detail::SnapshotFileView view = detail::snapshot_file_view(path);
-    if (view.bytes < kSnapshotHeaderBytes) {
-      snap_fail(path, "file shorter than the 128-byte header");
-    }
-    SnapshotHeader h{};
-    std::memcpy(&h, view.data, sizeof(h));
-    validate_header(h, view.bytes, path);
-    if ((h.flags & kSnapshotFlagWeighted) != 0) {
-      snap_fail(path, "weighted snapshot; use map_weighted_snapshot");
-    }
-    const std::span<const edge_t> offsets{
-        reinterpret_cast<const edge_t*>(view.data + h.offsets_offset),
-        static_cast<std::size_t>(h.num_vertices + 1)};
-    const std::span<const vertex_t> targets{
-        reinterpret_cast<const vertex_t*>(view.data + h.targets_offset),
-        static_cast<std::size_t>(h.num_arcs)};
-    if (verify_checksum &&
-        section_checksum(offsets, targets, {}) != h.checksum) {
-      snap_fail(path, "checksum mismatch (corrupt payload)");
-    }
-    detail::validate_structure(offsets, targets, {}, path);
-    return CsrGraph(offsets, targets, std::move(view.keepalive),
-                    CsrGraph::Trusted{});
-  }
-#else
-  (void)verify_checksum;
-  return load_snapshot(path);
-#endif
+  MappedSnapshot s = open_mapped(path, verify_checksum);
+  require_kind(s.header.info, /*weighted=*/false, path, "map");
+  if (s.header.info.cold()) return SnapshotBlockReader(path).materialize();
+  return CsrGraph(s.offsets, s.targets, std::move(s.view.keepalive),
+                  CsrGraph::Trusted{});
 }
 
 WeightedCsrGraph map_weighted_snapshot(const std::string& path,
                                        bool verify_checksum) {
-#if MPX_SNAPSHOT_HAVE_MMAP
-  const std::uint64_t file_bytes = file_size_or_fail(path);
-  if (probe_version(path, file_bytes) == kSnapshotVersion2) {
-    const detail::SnapshotFileView probe = detail::snapshot_file_view(path);
-    const SnapshotHeaderV2 h =
-        detail::validate_header_v2(probe.data, probe.bytes, path);
-    if ((h.flags & kSnapshotFlagWeighted) == 0) {
-      snap_fail(path, "unweighted snapshot; use map_snapshot");
-    }
-    if ((h.flags & kSnapshotFlagColdTargets) != 0) {
-      const SnapshotBlockReader reader(path);
-      return reader.materialize_weighted();
-    }
-    ViewedSectionsV2 s = view_sections_v2_hot(path, verify_checksum);
-    // The topology view and the weight span share one mapping keepalive.
-    CsrGraph topology(s.offsets, s.targets, s.view.keepalive,
-                      CsrGraph::Trusted{});
-    return WeightedCsrGraph(std::move(topology), s.weights,
-                            std::move(s.view.keepalive), CsrGraph::Trusted{});
+  MappedSnapshot s = open_mapped(path, verify_checksum);
+  require_kind(s.header.info, /*weighted=*/true, path, "map");
+  if (s.header.info.cold()) {
+    return SnapshotBlockReader(path).materialize_weighted();
   }
-  // v1
-  {
-    detail::SnapshotFileView view = detail::snapshot_file_view(path);
-    if (view.bytes < kSnapshotHeaderBytes) {
-      snap_fail(path, "file shorter than the 128-byte header");
-    }
-    SnapshotHeader h{};
-    std::memcpy(&h, view.data, sizeof(h));
-    validate_header(h, view.bytes, path);
-    if ((h.flags & kSnapshotFlagWeighted) == 0) {
-      snap_fail(path, "unweighted snapshot; use map_snapshot");
-    }
-    const std::span<const edge_t> offsets{
-        reinterpret_cast<const edge_t*>(view.data + h.offsets_offset),
-        static_cast<std::size_t>(h.num_vertices + 1)};
-    const std::span<const vertex_t> targets{
-        reinterpret_cast<const vertex_t*>(view.data + h.targets_offset),
-        static_cast<std::size_t>(h.num_arcs)};
-    const std::span<const double> weights{
-        reinterpret_cast<const double*>(view.data + h.weights_offset),
-        static_cast<std::size_t>(h.num_arcs)};
-    if (verify_checksum &&
-        section_checksum(offsets, targets, weights) != h.checksum) {
-      snap_fail(path, "checksum mismatch (corrupt payload)");
-    }
-    detail::validate_structure(offsets, targets, weights, path);
-    CsrGraph topology(offsets, targets, view.keepalive, CsrGraph::Trusted{});
-    return WeightedCsrGraph(std::move(topology), weights,
-                            std::move(view.keepalive), CsrGraph::Trusted{});
-  }
-#else
-  (void)verify_checksum;
-  return load_weighted_snapshot(path);
-#endif
+  // The topology view and the weight span share one mapping keepalive.
+  CsrGraph topology(s.offsets, s.targets, s.view.keepalive,
+                    CsrGraph::Trusted{});
+  return WeightedCsrGraph(std::move(topology), s.weights,
+                          std::move(s.view.keepalive), CsrGraph::Trusted{});
 }
 
 SnapshotInfo read_snapshot_info(const std::string& path) {
-  const std::uint64_t file_bytes = file_size_or_fail(path);
-  const std::uint32_t version = probe_version(path, file_bytes);
-  std::ifstream in(path, std::ios::binary);
+  // Only the header bytes are read, so this stays O(1) in the file size.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) snap_fail(path, "cannot open");
-  if (version == kSnapshotVersion2) {
-    unsigned char head[kSnapshotHeaderBytesV2] = {};
-    in.read(reinterpret_cast<char*>(head), sizeof(head));
-    // validate_header_v2 rejects files shorter than the v2 header before
-    // reading past what was actually present.
-    const SnapshotHeaderV2 h =
-        detail::validate_header_v2(head, file_bytes, path);
-    return info_from_v2(h, file_bytes);
-  }
-  const SnapshotHeader h = read_header(in, path);
-  validate_header(h, file_bytes, path);
-  return info_from_v1(h, file_bytes);
+  const std::streamoff file_bytes = in.tellg();
+  if (file_bytes < 0) snap_fail(path, "cannot stat");
+  unsigned char head[kSnapshotHeaderBytesV2] = {};
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(head), sizeof(head));
+  return check_header(head, static_cast<std::uint64_t>(file_bytes), path).info;
 }
 
-SnapshotInfo verify_snapshot(const std::string& path) {
-  const std::uint64_t file_bytes = file_size_or_fail(path);
-  if (probe_version(path, file_bytes) == kSnapshotVersion2) {
-    const detail::SnapshotFileView view = detail::snapshot_file_view(path);
-    const SnapshotHeaderV2 h =
-        detail::validate_header_v2(view.data, view.bytes, path);
-    if ((h.flags & kSnapshotFlagColdTargets) != 0) {
-      (void)verify_cold_shallow(view, h, path);
-    } else {
-      (void)view_sections_v2_hot(path, /*verify_checksums=*/true);
-    }
-    return info_from_v2(h, file_bytes);
+namespace {
+
+/// verify_snapshot and verify_snapshot_deep. For a cold file the
+/// SnapshotBlockReader constructor runs the eager checks (header, block
+/// index checksum and geometry, offsets checksum and degree decode); the
+/// two sections it leaves lazy, targets and weights, are checked here, and
+/// `deep` also decodes every block.
+SnapshotInfo verify(const std::string& path, bool deep) {
+  const MappedSnapshot s = open_mapped(path, /*verify_checksums=*/true);
+  const SnapshotInfo& info = s.header.info;
+  if (info.cold()) {
+    const SnapshotBlockReader reader(path);
+    expect_checksum(s.view.data + info.targets_offset, info.targets_bytes,
+                    s.header.v2.targets_checksum, path, "targets section");
+    (void)reader.verified_weights();
+    if (deep) (void)reader.materialize();
   }
-  // load_sections performs the full v1 pass: header geometry, checksum
-  // over every payload byte, and the CSR structural invariants.
-  const LoadedSections s = load_sections(path);
-  return info_from_v1(s.header, file_bytes);
+  return info;
+}
+
+}  // namespace
+
+SnapshotInfo verify_snapshot(const std::string& path) {
+  return verify(path, /*deep=*/false);
 }
 
 SnapshotInfo verify_snapshot_deep(const std::string& path) {
-  SnapshotInfo info = verify_snapshot(path);
-  if (info.version == kSnapshotVersion2 && info.cold()) {
-    // Walk every block: per-block checksum, full entropy decode, and
-    // structural validation of the reconstructed CSR.
-    const SnapshotBlockReader reader(path);
-    if (reader.weighted()) {
-      (void)reader.materialize_weighted();
-    } else {
-      (void)reader.materialize();
-    }
-  }
-  return info;
+  return verify(path, /*deep=*/true);
 }
 
 }  // namespace mpx::io
@@ -1135,12 +913,15 @@ void validate_structure(std::span<const edge_t> offsets,
         return targets[e] >= n;
       });
   if (out_of_range != 0) snap_fail(path, "arc target out of range");
-  if (!weights.empty()) {
-    const std::size_t bad_weights = parallel_count_if(
-        std::size_t{0}, weights.size(),
-        [&](std::size_t e) { return !(weights[e] > 0.0); });
-    if (bad_weights != 0) snap_fail(path, "non-positive arc weight");
-  }
+  validate_weights(weights, path);
+}
+
+void validate_weights(std::span<const double> weights,
+                      const std::string& path) {
+  const std::size_t bad_weights =
+      parallel_count_if(std::size_t{0}, weights.size(),
+                        [&](std::size_t e) { return !(weights[e] > 0.0); });
+  if (bad_weights != 0) snap_fail(path, "non-positive arc weight");
 }
 
 }  // namespace mpx::io::detail

@@ -23,9 +23,13 @@
 ///    per-block index row (graph/snapshot_codec.hpp has the codec,
 ///    graph/snapshot_blocks.hpp the bounded block cache).
 ///
-/// Readers reject corrupt input (truncation, bad magic, unknown versions,
-/// unknown flags, misaligned or out-of-bounds sections, non-CSR content)
-/// with `std::runtime_error`; they never abort on bad bytes.
+/// Every reader opens the file through one path: it is mapped once, its
+/// version read once and that version's header validated once; the
+/// readers then copy (`load_*`) or alias (`map_*`) the raw sections, or
+/// hand a cold file to SnapshotBlockReader. Readers reject corrupt input
+/// (truncation, bad magic, unknown versions, unknown flags, misaligned or
+/// out-of-bounds sections, non-CSR content) with `std::runtime_error`;
+/// they never abort on bad bytes.
 #pragma once
 
 #include <cstddef>
@@ -285,26 +289,27 @@ void save_snapshot(const std::string& path, const WeightedCsrGraph& g,
     const WeightedCsrGraph& g, std::span<const vertex_t> new_of_old);
 
 /// Read an unweighted snapshot (any version, either tier) into owned
-/// buffers. Verifies the checksums and the CSR structure; a cold-tier file
-/// is fully materialized (every block decoded in parallel) so the returned
-/// spans are byte-identical to the hot-tier load. Throws std::runtime_error
-/// on any corruption or if the file is weighted.
+/// buffers: the mapped sections are copied after their checksums and the
+/// CSR structure verify. A cold-tier file is fully materialized (every
+/// block decoded in parallel) so the returned spans are byte-identical to
+/// the hot-tier load. Throws std::runtime_error on any corruption or if
+/// the file is weighted.
 [[nodiscard]] CsrGraph load_snapshot(const std::string& path);
 /// Weighted counterpart of `load_snapshot`; throws if the file carries no
 /// weights section.
 [[nodiscard]] WeightedCsrGraph load_weighted_snapshot(const std::string& path);
 
-/// mmap `path` (MAP_PRIVATE, read-only) and return a zero-copy view graph
-/// whose spans alias the mapping; the mapping lives until the last copy of
-/// the returned graph dies. Headers are always validated eagerly (for v2
-/// that includes the header checksum); section checksums are verified only
-/// when `verify_checksum` is set, because that forces every page resident
-/// and defeats lazy mapping (snapshot_tool verify covers it instead). A
-/// cold-tier file cannot alias the mapping, so it is materialized exactly
-/// like `load_snapshot` (use storage::PagedGraph over a
-/// SnapshotBlockReader, graph/snapshot_blocks.hpp, for bounded-memory
-/// access). On hosts without POSIX mmap this falls back to
-/// `load_snapshot`.
+/// Open `path` like `load_snapshot` and return a zero-copy view graph
+/// whose spans alias the mapping (MAP_PRIVATE, read-only); the mapping
+/// lives until the last copy of the returned graph dies. Headers are
+/// always validated eagerly (for v2 that includes the header checksum);
+/// section checksums are verified only when `verify_checksum` is set,
+/// because that forces every page resident and defeats lazy mapping
+/// (snapshot_tool verify covers it instead). A cold-tier file cannot alias
+/// the mapping, so it is materialized exactly like `load_snapshot` (use
+/// storage::PagedGraph over a SnapshotBlockReader,
+/// graph/snapshot_blocks.hpp, for bounded-memory access). On hosts without
+/// POSIX mmap the view aliases an owned copy of the file instead.
 [[nodiscard]] CsrGraph map_snapshot(const std::string& path,
                                     bool verify_checksum = false);
 /// Weighted counterpart of `map_snapshot`.
@@ -312,17 +317,19 @@ void save_snapshot(const std::string& path, const WeightedCsrGraph& g,
     const std::string& path, bool verify_checksum = false);
 
 /// Read and validate only the header (magic, version, flags, section
-/// geometry vs file size; for v2 also the header checksum). No payload
-/// bytes are read or validated, so this reports the version/tier of any
-/// well-headed file in O(1). Throws std::runtime_error on malformed
-/// headers.
+/// geometry vs file size; for v2 also the header checksum) with the same
+/// header-validation step as the other readers. No payload bytes are read
+/// or validated, so this reports the version/tier of any well-headed file
+/// in O(1). Throws std::runtime_error on malformed headers.
 [[nodiscard]] SnapshotInfo read_snapshot_info(const std::string& path);
 
 /// Full validation for v1 and hot v2 (header, checksums, CSR structure);
-/// shallow validation for cold v2: header + all four section checksums +
-/// block-index geometry + degree-stream decode, but blocks are NOT
-/// decoded (that is `verify_snapshot_deep`). Throws std::runtime_error
-/// describing the first failure; returns the header info on success.
+/// shallow validation for cold v2: SnapshotBlockReader's eager checks
+/// (header, block-index checksum + geometry, offsets checksum + degree
+/// decode) plus the targets checksum and the weights checksum and
+/// positivity, but blocks are NOT decoded (that is
+/// `verify_snapshot_deep`). Throws std::runtime_error describing the first
+/// failure; returns the header info on success.
 SnapshotInfo verify_snapshot(const std::string& path);
 
 /// Deep validation: everything `verify_snapshot` does, plus — for cold

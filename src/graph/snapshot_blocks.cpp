@@ -102,23 +102,25 @@ CsrGraph SnapshotBlockReader::materialize() const {
                   CsrGraph::Trusted{});
 }
 
-WeightedCsrGraph SnapshotBlockReader::materialize_weighted() const {
-  if (!weighted()) {
-    detail::snap_fail(path_, "unweighted snapshot; use materialize");
-  }
-  // Weights are the one section the constructor left untouched; verify
-  // their checksum now that every byte goes resident anyway.
+std::span<const double> SnapshotBlockReader::verified_weights() const {
+  // Weights are the one section the constructor leaves untouched.
   if (codec::fnv1a_64(
           codec::kFnvOffsetBasis,
           reinterpret_cast<const unsigned char*>(weights_.data()),
           weights_.size_bytes()) != header_.weights_checksum) {
     detail::snap_fail(path_, "weights section checksum mismatch");
   }
-  CsrGraph topology = materialize();
-  std::vector<double> weights(weights_.begin(), weights_.end());
-  detail::validate_structure(topology.offsets(), topology.targets(), weights,
-                             path_);
-  return WeightedCsrGraph(std::move(topology), std::move(weights),
+  detail::validate_weights(weights_, path_);
+  return weights_;
+}
+
+WeightedCsrGraph SnapshotBlockReader::materialize_weighted() const {
+  if (!weighted()) {
+    detail::snap_fail(path_, "unweighted snapshot; use materialize");
+  }
+  const std::span<const double> weights = verified_weights();
+  return WeightedCsrGraph(materialize(),
+                          std::vector<double>(weights.begin(), weights.end()),
                           CsrGraph::Trusted{});
 }
 

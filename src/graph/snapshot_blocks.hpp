@@ -68,9 +68,14 @@ class SnapshotBlockReader {
   [[nodiscard]] std::span<const edge_t> offsets() const { return offsets_; }
 
   /// Raw (uncompressed) weights span aliasing the mapping; empty when the
-  /// snapshot is unweighted. NOT checksum-verified — use
-  /// `verify_snapshot(_deep)` for that.
+  /// snapshot is unweighted. NOT verified: code that serves the weights
+  /// takes them from `verified_weights()`.
   [[nodiscard]] std::span<const double> weights() const { return weights_; }
+
+  /// `weights()` after checking the section's checksum and that every
+  /// weight is positive (the rule `load_weighted_snapshot` applies). O(m);
+  /// throws std::runtime_error on either failure.
+  [[nodiscard]] std::span<const double> verified_weights() const;
 
   /// First arc of block `b`.
   [[nodiscard]] edge_t block_arc_begin(std::size_t b) const {
@@ -95,9 +100,8 @@ class SnapshotBlockReader {
   /// same graph.
   [[nodiscard]] CsrGraph materialize() const;
 
-  /// Weighted counterpart of `materialize`; verifies the weights checksum
-  /// (the one section the constructor leaves untouched) and copies the
-  /// weights. Throws if the snapshot is unweighted.
+  /// Weighted counterpart of `materialize`; copies `verified_weights()`.
+  /// Throws if the snapshot is unweighted.
   [[nodiscard]] WeightedCsrGraph materialize_weighted() const;
 
  private:

@@ -5,7 +5,8 @@
 /// Everything here lives in `mpx::io::detail`: error raising, section
 /// alignment, whole-file views (mmap-backed when the host has POSIX mmap,
 /// owned reads otherwise), and the v2 header / block-index / structural
-/// validators that both the eager loaders and the lazy block reader need.
+/// validators that both the one open path of the snapshot readers and the
+/// lazy block reader need.
 #pragma once
 
 #include <cstdint>
@@ -68,5 +69,9 @@ void validate_structure(std::span<const edge_t> offsets,
                         std::span<const vertex_t> targets,
                         std::span<const double> weights,
                         const std::string& path);
+
+/// The weights half of validate_structure: every weight positive. Throws
+/// on a violation.
+void validate_weights(std::span<const double> weights, const std::string& path);
 
 }  // namespace mpx::io::detail

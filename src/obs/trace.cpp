@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <ostream>
+#include <stdexcept>
+
+#include "support/atomic_file.hpp"
 
 namespace mpx::obs {
 
@@ -129,11 +132,13 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
 }
 
 bool TraceRecorder::write_chrome_trace(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  write_chrome_trace(out);
-  out.flush();
-  return static_cast<bool>(out);
+  try {
+    write_file_atomically(path,
+                          [&](std::ostream& out) { write_chrome_trace(out); });
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace mpx::obs

@@ -65,8 +65,9 @@ class TraceRecorder {
   [[nodiscard]] std::uint64_t dropped() const;
 
   /// Emit the ring as Chrome trace-event JSON. The stream overload
-  /// always succeeds (modulo stream state); the path overload returns
-  /// false when the file cannot be opened or written.
+  /// always succeeds (modulo stream state); the path overload replaces the
+  /// file atomically (support/atomic_file.hpp) and returns false when it
+  /// cannot be written.
   void write_chrome_trace(std::ostream& out) const;
   [[nodiscard]] bool write_chrome_trace(const std::string& path) const;
 

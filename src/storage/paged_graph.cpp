@@ -125,7 +125,7 @@ PagedWeightedGraph::PagedWeightedGraph(
     throw std::invalid_argument(
         "mpx::storage: PagedWeightedGraph requires a weighted snapshot");
   }
-  weights_ = graph_.reader().weights();
+  weights_ = graph_.reader().verified_weights();
 }
 
 }  // namespace mpx::storage

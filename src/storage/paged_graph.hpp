@@ -125,7 +125,9 @@ class PagedGraph {
 /// path has the same shape when the weighted engine unifies.
 class PagedWeightedGraph {
  public:
-  /// See PagedGraph's constructor; `reader` must be weighted.
+  /// See PagedGraph's constructor; `reader` must be weighted. The weights
+  /// section is verified here (`SnapshotBlockReader::verified_weights`),
+  /// so a corrupt one throws std::runtime_error instead of being served.
   PagedWeightedGraph(std::shared_ptr<const io::SnapshotBlockReader> reader,
                      std::uint64_t cache_budget_bytes,
                      std::size_t num_shards = 0);

@@ -1,10 +1,9 @@
 #include "viz/ppm.hpp"
 
-#include <fstream>
 #include <ostream>
-#include <stdexcept>
 
 #include "support/assert.hpp"
+#include "support/atomic_file.hpp"
 
 namespace mpx::viz {
 
@@ -31,9 +30,7 @@ void Image::write_ppm(std::ostream& out) const {
 }
 
 void Image::save_ppm(const std::string& file_path) const {
-  std::ofstream out(file_path, std::ios::binary);
-  if (!out) throw std::runtime_error("mpx::viz: cannot open " + file_path);
-  write_ppm(out);
+  write_file_atomically(file_path, [&](std::ostream& out) { write_ppm(out); });
 }
 
 }  // namespace mpx::viz

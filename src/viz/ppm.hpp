@@ -23,7 +23,8 @@ class Image {
 
   /// Serialize as binary PPM (P6).
   void write_ppm(std::ostream& out) const;
-  /// Write to a file; throws std::runtime_error if it cannot be opened.
+  /// Replace the file atomically (support/atomic_file.hpp); throws
+  /// std::runtime_error if it cannot be written.
   void save_ppm(const std::string& file_path) const;
 
  private:

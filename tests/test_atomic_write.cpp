@@ -1,5 +1,6 @@
 // Tests for the atomic file writers (support/atomic_file.hpp) behind
-// io::save_decomposition and io::save_snapshot: a writer SIGKILLed while
+// io::save_decomposition, io::save_snapshot, io::save_edge_list and
+// obs::TraceRecorder::write_chrome_trace: a writer SIGKILLed while
 // overwriting a file leaves the old file loadable, and a successful save
 // leaves no temp file behind.
 #include <gtest/gtest.h>
@@ -23,7 +24,9 @@
 
 #include "core/decomposition_io.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "graph/snapshot.hpp"
+#include "obs/trace.hpp"
 #include "support/atomic_file.hpp"
 #include "tests/support/temp_dir.hpp"
 
@@ -146,6 +149,22 @@ TEST(AtomicWrite, KilledSnapshotWriterLeavesTheOldFile) {
       });
 }
 
+TEST(AtomicWrite, KilledEdgeListWriterLeavesTheOldFile) {
+  TempDir tmp("atomic");
+  const std::string path = tmp.file("graph.edges");
+  const CsrGraph old_graph = generators::grid2d(5, 5);
+  io::save_edge_list(path, old_graph);
+  const CsrGraph big = generators::grid2d(1000, 1000);
+
+  expect_old_content_survives_kill(
+      path, [&] { io::save_edge_list(path, big); },
+      [&] {
+        const CsrGraph loaded = io::load_edge_list(path);
+        ASSERT_EQ(loaded.num_vertices(), old_graph.num_vertices());
+        EXPECT_TRUE(std::ranges::equal(loaded.targets(), old_graph.targets()));
+      });
+}
+
 TEST(AtomicWrite, SuccessfulSavesLeaveNoTempFile) {
   TempDir tmp("atomic");
   const std::string dec_path = tmp.file("result.dec");
@@ -156,12 +175,21 @@ TEST(AtomicWrite, SuccessfulSavesLeaveNoTempFile) {
   cold.tier = io::SnapshotTier::kCold;
   io::save_snapshot(snap_path, generators::grid2d(6, 6));
   io::save_snapshot(snap_path, generators::grid2d(7, 7), cold);  // overwrite
+  const std::string edges_path = tmp.file("graph.edges");
+  io::save_edge_list(edges_path, generators::grid2d(4, 4));
+  io::save_edge_list(edges_path, generators::grid2d(5, 5));  // overwrite
+  const std::string trace_path = tmp.file("trace.json");
+  const obs::TraceRecorder recorder;
+  EXPECT_TRUE(recorder.write_chrome_trace(trace_path));
+  EXPECT_TRUE(recorder.write_chrome_trace(trace_path));  // overwrite
 
   std::vector<std::string> names = list_dir(tmp.path());
   std::sort(names.begin(), names.end());
-  EXPECT_EQ(names, (std::vector<std::string>{"graph.mpxs", "result.dec"}));
+  EXPECT_EQ(names, (std::vector<std::string>{"graph.edges", "graph.mpxs",
+                                             "result.dec", "trace.json"}));
   EXPECT_EQ(io::load_decomposition(dec_path).num_vertices(), 12u);
   EXPECT_EQ(io::load_snapshot(snap_path).num_vertices(), 49u);
+  EXPECT_EQ(io::load_edge_list(edges_path).num_vertices(), 25u);
 }
 
 TEST(AtomicWrite, FailedWriteRemovesItsTempFileAndKeepsTheOld) {

@@ -1,7 +1,8 @@
 // Tests for the out-of-core storage layer (src/storage/): the thread-safe
 // sharded block cache (LRU eviction order, pins survive eviction, budget
 // bounds residency, stats account every decode), the PagedGraph read
-// surface against the in-memory graph, paged-vs-in-memory byte-identity
+// surface against the in-memory graph, rejection of a corrupt weights
+// section by PagedWeightedGraph, paged-vs-in-memory byte-identity
 // of the mpx decomposition across the fixture corpus x {1, 2, 8} threads
 // x cache budgets, the paged store/oracle query surface, and the
 // degree-descending snapshot placement.
@@ -9,6 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -281,6 +285,64 @@ TEST(PagedWeightedGraph, ServesResidentWeights) {
     ASSERT_TRUE(std::equal(got_w.begin(), got_w.end(), want_w.begin(),
                            want_w.end()));
   }
+}
+
+/// Writes `g` as a 4-arc-block cold snapshot at `path` and returns its
+/// bytes, so a test can corrupt the weights section.
+std::string cold_weighted_bytes(const std::string& path,
+                                const WeightedCsrGraph& g) {
+  io::SnapshotWriteOptions cold;
+  cold.tier = io::SnapshotTier::kCold;
+  cold.block_size = 4;
+  io::save_snapshot(path, g, cold);
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// FNV-1a-64, the snapshot format's checksum.
+std::uint64_t fnv1a(const char* data, std::size_t bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h = (h ^ static_cast<unsigned char>(data[i])) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(PagedWeightedGraph, RejectsWeightsThatFailTheirChecksum) {
+  TempDir tmp("paged");
+  const std::string path = tmp.file("weighted.mpxs");
+  std::string bytes =
+      cold_weighted_bytes(path, mpx::testing::grid3x3_weighted_reference());
+  io::SnapshotHeaderV2 h{};
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  bytes[h.weights_offset + 7] ^= 0x01;  // a positive weight stays positive
+  write_bytes(path, bytes);
+  auto reader = std::make_shared<const io::SnapshotBlockReader>(path);
+  EXPECT_THROW(storage::PagedWeightedGraph(reader, /*cache_budget_bytes=*/64),
+               std::runtime_error);
+}
+
+TEST(PagedWeightedGraph, RejectsNegativeWeightBehindValidChecksums) {
+  TempDir tmp("paged");
+  const std::string path = tmp.file("weighted.mpxs");
+  std::string bytes =
+      cold_weighted_bytes(path, mpx::testing::grid3x3_weighted_reference());
+  io::SnapshotHeaderV2 h{};
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  const double negative = -5.0;
+  std::memcpy(bytes.data() + h.weights_offset, &negative, sizeof(negative));
+  h.weights_checksum = fnv1a(bytes.data() + h.weights_offset, h.weights_bytes);
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  h.header_checksum = fnv1a(bytes.data(), io::kSnapshotHeaderV2ChecksumBytes);
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  write_bytes(path, bytes);
+  auto reader = std::make_shared<const io::SnapshotBlockReader>(path);
+  EXPECT_THROW(storage::PagedWeightedGraph(reader, /*cache_budget_bytes=*/64),
+               std::runtime_error);
 }
 
 // --- paged decomposition byte-identity -------------------------------------

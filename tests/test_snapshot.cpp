@@ -461,6 +461,22 @@ TEST_F(SnapshotCorruption, RejectsWeightednessMismatch) {
   io::save_snapshot(path_, wg);
   EXPECT_THROW((void)io::load_snapshot(path_), std::runtime_error);
   EXPECT_THROW((void)io::map_snapshot(path_), std::runtime_error);
+
+  // The same rejections for both version-2 tiers.
+  for (const io::SnapshotTier tier :
+       {io::SnapshotTier::kHot, io::SnapshotTier::kCold}) {
+    SCOPED_TRACE(tier == io::SnapshotTier::kHot ? "v2 hot" : "v2 cold");
+    io::SnapshotWriteOptions v2;
+    v2.version = io::kSnapshotVersion2;
+    v2.tier = tier;
+    io::save_snapshot(path_, generators::grid2d(3, 3), v2);
+    EXPECT_THROW((void)io::load_weighted_snapshot(path_), std::runtime_error);
+    EXPECT_THROW((void)io::map_weighted_snapshot(path_), std::runtime_error);
+
+    io::save_snapshot(path_, wg, v2);
+    EXPECT_THROW((void)io::load_snapshot(path_), std::runtime_error);
+    EXPECT_THROW((void)io::map_snapshot(path_), std::runtime_error);
+  }
 }
 
 TEST_F(SnapshotCorruption, RejectsNonPositiveWeightBehindValidChecksum) {

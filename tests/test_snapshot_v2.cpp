@@ -499,13 +499,17 @@ TEST(SnapshotV2, WriteOptionsValidated) {
 
 TEST(SnapshotV2Corruption, EveryTruncationPointRejected) {
   // The exact-file-size rule means *every* proper prefix of a well-formed
-  // snapshot is invalid; sweep them all, byte by byte, over a hot and a
-  // multi-block cold fixture. (These fixtures are a few hundred bytes, so
-  // the full sweep stays cheap even in Debug/ASan CI.)
+  // snapshot is invalid; sweep them all, byte by byte, over v1 and v2
+  // fixtures (hot and cold, weighted and unweighted), through every
+  // reader. (These fixtures are a few hundred bytes, so the full sweep
+  // stays cheap even in Debug/ASan CI.)
   TempDir tmp("snapv2");
-  for (const char* name : {"grid_3x3_v2.mpxs", "grid_3x3_v2_cold.mpxs",
-                           "grid_16x16_v2_cold.mpxs"}) {
+  for (const char* name :
+       {"grid_3x3_v2.mpxs", "grid_3x3_v2_cold.mpxs", "grid_16x16_v2_cold.mpxs",
+        "grid_3x3.mpxs", "grid_3x3_weighted.mpxs",
+        "grid_3x3_weighted_v2_cold.mpxs"}) {
     SCOPED_TRACE(name);
+    const bool weighted = io::read_snapshot_info(golden_path(name)).weighted();
     const std::string good = read_file_or_fail(golden_path(name));
     const std::string path = tmp.file("trunc.mpxs");
     for (std::size_t keep = 0; keep < good.size(); ++keep) {
@@ -514,6 +518,17 @@ TEST(SnapshotV2Corruption, EveryTruncationPointRejected) {
           << "accepted a " << keep << "-byte prefix";
       EXPECT_THROW((void)io::read_snapshot_info(path), std::runtime_error)
           << "info accepted a " << keep << "-byte prefix";
+      if (weighted) {
+        EXPECT_THROW((void)io::load_weighted_snapshot(path), std::runtime_error)
+            << "weighted load accepted a " << keep << "-byte prefix";
+        EXPECT_THROW((void)io::map_weighted_snapshot(path), std::runtime_error)
+            << "weighted map accepted a " << keep << "-byte prefix";
+      } else {
+        EXPECT_THROW((void)io::map_snapshot(path), std::runtime_error)
+            << "map accepted a " << keep << "-byte prefix";
+      }
+      EXPECT_THROW((void)io::verify_snapshot(path), std::runtime_error)
+          << "verify accepted a " << keep << "-byte prefix";
     }
   }
 }
