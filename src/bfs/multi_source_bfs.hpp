@@ -66,8 +66,9 @@ struct MultiSourceBfsWorkspace {
   TraversalWorkspace traversal;
   std::vector<std::uint64_t> claim;
   std::vector<vertex_t> bucket_centers;
-  std::vector<std::size_t> bucket_offsets;
-  std::vector<std::size_t> bucket_cursor;
+  std::vector<std::uint32_t> bucket_offsets;
+  /// Per-block histograms of the schedule's counting sort.
+  std::vector<std::uint32_t> bucket_counts;
 };
 
 /// Run the delayed multi-source BFS on the shared traversal engine.

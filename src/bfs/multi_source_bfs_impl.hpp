@@ -18,6 +18,7 @@
 #include "bfs/multi_source_bfs.hpp"
 #include "bfs/traversal.hpp"
 #include "parallel/atomics.hpp"
+#include "parallel/counting_sort.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/thread_env.hpp"
 #include "support/assert.hpp"
@@ -42,11 +43,12 @@ constexpr vertex_t msbfs_center_of(std::uint64_t word) noexcept {
 }
 
 /// Activation schedule: centers grouped by start round, as one flat array
-/// plus offsets (counting sort on start_round). Views the storage held by a
+/// plus offsets (a stable counting sort on start_round, so each round's
+/// centers are in ascending id order). Views the storage held by a
 /// MultiSourceBfsWorkspace so repeated runs reuse it.
 struct ActivationBuckets {
-  std::span<const vertex_t> centers;     // grouped by round
-  std::span<const std::size_t> offsets;  // offsets[t]..offsets[t+1]
+  std::span<const vertex_t> centers;       // grouped by round
+  std::span<const std::uint32_t> offsets;  // offsets[t]..offsets[t+1]
   std::uint32_t max_round = 0;
 
   [[nodiscard]] std::span<const vertex_t> bucket(std::uint32_t t) const {
@@ -55,37 +57,34 @@ struct ActivationBuckets {
   }
 };
 
+/// Rounds 0..max_round are buckets 0..max_round; kNoStart vertices go to
+/// one trailing bucket, which the schedule then drops.
 inline ActivationBuckets build_buckets(
     std::span<const std::uint32_t> start_round, MultiSourceBfsWorkspace& ws) {
-  ActivationBuckets b;
   const std::size_t n = start_round.size();
-  std::uint32_t max_round = 0;
-  std::size_t active = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (start_round[v] == kNoStart) continue;
-    ++active;
-    max_round = std::max(max_round, start_round[v]);
-  }
-  b.max_round = max_round;
-  const std::size_t num_rounds = static_cast<std::size_t>(max_round) + 2;
-  ws.bucket_offsets.assign(num_rounds + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (start_round[v] != kNoStart) ++ws.bucket_offsets[start_round[v] + 1];
-  }
-  for (std::size_t t = 1; t <= num_rounds; ++t) {
-    ws.bucket_offsets[t] += ws.bucket_offsets[t - 1];
-  }
-  ws.bucket_centers.resize(active);
-  ws.bucket_cursor.assign(ws.bucket_offsets.begin(),
-                          ws.bucket_offsets.end() - 1);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (start_round[v] != kNoStart) {
-      ws.bucket_centers[ws.bucket_cursor[start_round[v]]++] =
-          static_cast<vertex_t>(v);
-    }
-  }
-  b.centers = ws.bucket_centers;
-  b.offsets = ws.bucket_offsets;
+  ActivationBuckets b;
+  b.max_round = parallel_max(std::size_t{0}, n, std::uint32_t{0},
+                             [&](std::size_t v) {
+                               return start_round[v] == kNoStart
+                                          ? 0u
+                                          : start_round[v];
+                             });
+  const std::size_t no_start = static_cast<std::size_t>(b.max_round) + 1;
+  ws.bucket_centers.resize(n);
+  ws.bucket_offsets.resize(no_start + 2);
+  ws.bucket_offsets[0] = 0;
+  stable_counting_sort<vertex_t>(
+      n, no_start + 1, [](std::uint32_t v) { return static_cast<vertex_t>(v); },
+      [&](vertex_t v) {
+        return start_round[v] == kNoStart
+                   ? no_start
+                   : static_cast<std::size_t>(start_round[v]);
+      },
+      std::span<vertex_t>(ws.bucket_centers),
+      std::span<std::uint32_t>(ws.bucket_offsets).subspan(1),
+      ws.bucket_counts);
+  b.centers = {ws.bucket_centers.data(), ws.bucket_offsets[no_start]};
+  b.offsets = {ws.bucket_offsets.data(), no_start + 1};
   return b;
 }
 

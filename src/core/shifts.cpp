@@ -18,7 +18,7 @@ namespace {
 /// exact order the retired comparator sort produced, built by a bucketed
 /// rank instead: frac keys are near-uniform in [0, 1) for exponential
 /// shifts, so floor(frac * B) is a monotone bucket map that localizes the
-/// sort to ~4-item buckets (parallel/bucket_rank.hpp proves the
+/// sort to B equal-sized buckets (parallel/bucket_rank.hpp proves the
 /// bitwise-identity argument; tests/test_shift_rank_identity.cpp checks it
 /// against the old sort across every distribution, tie-break, and thread
 /// count).

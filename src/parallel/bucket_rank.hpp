@@ -5,9 +5,10 @@
 // random loads. The shift phase never needs that generality — its keys
 // have a known, near-uniform distribution (frac(delta_max - delta) for
 // exponential shifts, 64-bit counter hashes for random permutations), so a
-// counting pass over a monotone bucket map places every key to within a
-// small bucket in O(n) work, and a per-bucket insertion-sort pass over
-// contiguous (key, id) records finishes the order exactly.
+// stable counting pass over a monotone bucket map (parallel/counting_sort.hpp)
+// places every key to within a small bucket in O(n) work, and a per-bucket
+// finishing pass over contiguous (key, id) records, run in parallel across
+// buckets, finishes the order exactly.
 //
 // The produced order is bitwise-identical to sorting by (key, id): the
 // bucket map is monotone (key1 < key2 implies bucket(key1) <= bucket(key2)
@@ -24,9 +25,8 @@
 #include <span>
 #include <vector>
 
-#include "parallel/atomics.hpp"
+#include "parallel/counting_sort.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/scan.hpp"
 #include "support/assert.hpp"
 
 #if defined(_OPENMP)
@@ -50,13 +50,15 @@ template <typename Key>
 struct BucketSortScratch {
   /// Scatter destination; holds the sorted (key, id) records on return.
   std::vector<KeyedItem<Key>> items;
-  /// Bucket counters; after the call, bucket_ends[b] is the end offset of
-  /// bucket b in `items` (its start is bucket_ends[b - 1], or 0).
+  /// After the call, bucket_ends[b] is the end offset of bucket b in
+  /// `items` (its start is bucket_ends[b - 1], or 0).
   std::vector<std::uint32_t> bucket_ends;
-  /// Block partial sums for the parallel prefix scan over bucket_ends.
-  std::vector<std::uint32_t> scan_scratch;
+  /// Per-block histograms of the counting pass (stable_counting_sort).
+  std::vector<std::uint32_t> block_counts;
   /// Per-thread scratch for the second-level segment refinement: a copy
-  /// buffer (one segment) and sub-bucket counters, both cache-sized.
+  /// buffer (one segment) and sub-bucket counters, both cache-sized. Every
+  /// thread's entry is sized up front for the call's largest bucket, since
+  /// which thread refines which bucket changes from call to call.
   struct SegmentScratch {
     std::vector<KeyedItem<Key>> buf;
     std::vector<std::uint32_t> counts;
@@ -65,13 +67,14 @@ struct BucketSortScratch {
 };
 
 /// Bucket count for n items: a power of two, at most 1024. The cap is
-/// what makes the scatter fast: each bucket has one actively-written
-/// cache line, so at <= 512-1024 buckets the whole set of write cursors
-/// sits in L1 and the scatter degrades from n random misses to
-/// near-streaming stores. Measured on 9M doubles, total bucketed time is
-/// 0.81s at 256-512 buckets, 1.04s at 8192, and 2-3x worse at the ~n/4
-/// bucket count of this header's first cut (the counter array alone
-/// outgrew L2 and every touch missed). Oversized segments are cheap by
+/// what makes the scatter fast: a block's scatter keeps one
+/// actively-written cache line per bucket, so at <= 512-1024 buckets its
+/// write cursors sit in L1 and the scatter degrades from n random misses
+/// to near-streaming stores (and the per-block histograms stay small).
+/// Measured on 9M doubles, total bucketed time is 0.81s at 256-512
+/// buckets, 1.04s at 8192, and 2-3x worse at the ~n/4 bucket count of
+/// this header's first cut (the counter array alone outgrew L2 and every
+/// touch missed). Oversized segments are cheap by
 /// comparison — refine_segment splits them again in-cache. Power of two
 /// so 64-bit keys can bucket with a plain shift.
 [[nodiscard]] inline std::size_t bucket_count_for(std::size_t n) {
@@ -102,6 +105,18 @@ void insertion_sort_items(KeyedItem<Key>* first, KeyedItem<Key>* last) {
   }
 }
 
+/// Sub-bucket count refine_segment uses for a segment of `len` items:
+/// ~len/4, a power of two in [64, 4096]. Monotone in len, so scratch sized
+/// for the largest segment fits every smaller one.
+[[nodiscard]] inline std::size_t sub_bucket_count(std::size_t len) {
+  std::size_t sub_buckets = 64;
+  while (sub_buckets * 4 < len && sub_buckets < 4096) sub_buckets <<= 1;
+  return sub_buckets;
+}
+
+/// Segments at most this long are finished by insertion sort alone.
+inline constexpr std::size_t kInsertionSortMax = 48;
+
 /// Sort one bucket's segment [first, first + len) by (key, id) with a
 /// second-level counting pass instead of a comparison sort: map each key
 /// affinely from the segment's own [min, max] key range onto ~len/4
@@ -131,8 +146,7 @@ void refine_segment(KeyedItem<Key>* first, std::size_t len,
               });
     return;
   }
-  std::size_t sub_buckets = 64;
-  while (sub_buckets * 4 < len && sub_buckets < 4096) sub_buckets <<= 1;
+  const std::size_t sub_buckets = sub_bucket_count(len);
   // Affine monotone map of [min, max] onto [0, sub_buckets): every
   // floating-point step (subtract min, multiply a positive scale,
   // truncate) is monotone under rounding, and the clamp catches the
@@ -144,8 +158,7 @@ void refine_segment(KeyedItem<Key>* first, std::size_t len,
         static_cast<std::size_t>(static_cast<double>(key - min_key) * scale),
         sub_buckets - 1);
   };
-  if (seg.counts.size() < sub_buckets + 1) seg.counts.resize(sub_buckets + 1);
-  if (seg.buf.size() < len) seg.buf.resize(len);
+  MPX_ASSERT(seg.counts.size() > sub_buckets && seg.buf.size() >= len);
   std::fill_n(seg.counts.begin(), sub_buckets + 1, 0u);
   for (std::size_t i = 0; i < len; ++i) ++seg.counts[sub_of(first[i].key) + 1];
   for (std::size_t s = 1; s <= sub_buckets; ++s) {
@@ -159,7 +172,7 @@ void refine_segment(KeyedItem<Key>* first, std::size_t len,
     const std::uint32_t lo = s == 0 ? 0 : seg.counts[s - 1];
     const std::uint32_t hi = seg.counts[s];
     if (hi - lo < 2) continue;
-    if (hi - lo <= 48) {
+    if (hi - lo <= kInsertionSortMax) {
       insertion_sort_items(seg.buf.data() + lo, seg.buf.data() + hi);
     } else {
       std::sort(seg.buf.data() + lo, seg.buf.data() + hi,
@@ -175,38 +188,37 @@ void refine_segment(KeyedItem<Key>* first, std::size_t len,
 }  // namespace detail
 
 /// Sort the implicit items {0, ..., n-1} ascending by (key_of(i), i) into
-/// `scratch.items` via one bucketed counting pass. Requirements:
+/// `scratch.items`. Requirements:
 ///  * bucket_of(key) < num_buckets for every key key_of ever returns;
 ///  * bucket_of is monotone in the key order: key1 < key2 implies
 ///    bucket_of(key1) <= bucket_of(key2) (equal keys, equal bucket).
 /// key_of is invoked twice per item (count + scatter) and must be a pure
-/// function of its argument. Deterministic for any thread count: the
-/// scatter order inside a bucket races benignly, and the finishing sort on
-/// the total (key, id) order erases it.
+/// function of its argument. The stable counting pass leaves every bucket
+/// in ascending id order; the finishing pass then sorts each bucket on the
+/// total (key, id) order, in parallel across buckets. Deterministic for
+/// any thread count: no step depends on the schedule.
 template <typename Key, typename KeyFn, typename BucketFn>
 void bucketed_sort_ids(std::size_t n, std::size_t num_buckets, KeyFn&& key_of,
                        BucketFn&& bucket_of, BucketSortScratch<Key>& scratch) {
-  MPX_EXPECTS(num_buckets > 0);
   scratch.items.resize(n);
   scratch.bucket_ends.resize(num_buckets);
-  if (n == 0) return;
-  parallel_for(std::size_t{0}, num_buckets,
-               [&](std::size_t b) { scratch.bucket_ends[b] = 0; });
-  parallel_for(std::size_t{0}, n, [&](std::size_t i) {
-    const std::size_t b = bucket_of(key_of(static_cast<std::uint32_t>(i)));
-    atomic_fetch_add(scratch.bucket_ends[b], std::uint32_t{1});
-  });
-  (void)exclusive_scan_inplace(std::span<std::uint32_t>(scratch.bucket_ends),
-                               scratch.scan_scratch);
-  // Scatter through the offsets; each fetch_add advances bucket b's cursor,
-  // so afterwards bucket_ends[b] has become bucket b's *end* offset.
-  parallel_for(std::size_t{0}, n, [&](std::size_t i) {
-    const Key key = key_of(static_cast<std::uint32_t>(i));
-    const std::size_t b = bucket_of(key);
-    const std::uint32_t pos =
-        atomic_fetch_add(scratch.bucket_ends[b], std::uint32_t{1});
-    scratch.items[pos] = KeyedItem<Key>{key, static_cast<std::uint32_t>(i)};
-  });
+  stable_counting_sort<KeyedItem<Key>>(
+      n, num_buckets,
+      [&](std::uint32_t i) { return KeyedItem<Key>{key_of(i), i}; },
+      [&](const KeyedItem<Key>& item) {
+        return static_cast<std::size_t>(bucket_of(item.key));
+      },
+      std::span<KeyedItem<Key>>(scratch.items),
+      std::span<std::uint32_t>(scratch.bucket_ends), scratch.block_counts);
+
+  // Size every thread's segment scratch for the largest bucket before the
+  // finishing pass forks, so no thread grows its scratch inside the loop.
+  std::size_t max_len = scratch.bucket_ends[0];
+  for (std::size_t b = 1; b < num_buckets; ++b) {
+    max_len = std::max<std::size_t>(
+        max_len, scratch.bucket_ends[b] - scratch.bucket_ends[b - 1]);
+  }
+  if (max_len < 2) return;  // every bucket is already sorted
 #if defined(_OPENMP)
   const std::size_t finish_threads =
       static_cast<std::size_t>(omp_get_max_threads());
@@ -216,18 +228,26 @@ void bucketed_sort_ids(std::size_t n, std::size_t num_buckets, KeyFn&& key_of,
   if (scratch.segment_scratch.size() < finish_threads) {
     scratch.segment_scratch.resize(finish_threads);
   }
+  if (max_len > detail::kInsertionSortMax) {
+    const std::size_t counts = detail::sub_bucket_count(max_len) + 1;
+    for (auto& seg : scratch.segment_scratch) {
+      if (seg.buf.size() < max_len) seg.buf.resize(max_len);
+      if (seg.counts.size() < counts) seg.counts.resize(counts);
+    }
+  }
+
   parallel_for_dynamic(std::size_t{0}, num_buckets, [&](std::size_t b) {
     const std::uint32_t lo = b == 0 ? 0 : scratch.bucket_ends[b - 1];
     const std::uint32_t hi = scratch.bucket_ends[b];
     if (hi - lo < 2) return;
     KeyedItem<Key>* const first = scratch.items.data() + lo;
-    if (hi - lo <= 48) {
+    if (hi - lo <= detail::kInsertionSortMax) {
       detail::insertion_sort_items(first, first + (hi - lo));
       return;
     }
 #if defined(_OPENMP)
     // omp_get_thread_num() is 0 outside a parallel region, so this also
-    // covers the serial small-trip path of parallel_for_dynamic.
+    // covers the serial path of parallel_for_dynamic.
     auto& seg = scratch.segment_scratch[static_cast<std::size_t>(
         omp_get_thread_num())];
 #else

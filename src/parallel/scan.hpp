@@ -19,11 +19,8 @@ namespace mpx {
 /// In-place exclusive prefix sum over `data`; returns the total.
 /// Two passes: per-block partial sums, then a serial block-offset scan,
 /// then a parallel block rewrite. Work O(n), depth O(n/p + p).
-/// `block_sums` is reusable scratch (resized as needed, never shrunk), so
-/// hot callers — the shift rank's bucket pass — can scan without
-/// allocating on warm runs.
 template <typename T>
-T exclusive_scan_inplace(std::span<T> data, std::vector<T>& block_sums) {
+T exclusive_scan_inplace(std::span<T> data) {
   const std::size_t n = data.size();
   if (n == 0) return T{};
   if (n < kSerialGrain) {
@@ -38,7 +35,7 @@ T exclusive_scan_inplace(std::span<T> data, std::vector<T>& block_sums) {
 #if defined(_OPENMP)
   const std::size_t block = 1 << 14;
   const std::size_t num_blocks = (n + block - 1) / block;
-  if (block_sums.size() < num_blocks) block_sums.resize(num_blocks);
+  std::vector<T> block_sums(num_blocks);
 #pragma omp parallel for schedule(static)
   for (std::int64_t b = 0; b < static_cast<std::int64_t>(num_blocks); ++b) {
     const std::size_t lo = static_cast<std::size_t>(b) * block;
@@ -74,13 +71,6 @@ T exclusive_scan_inplace(std::span<T> data, std::vector<T>& block_sums) {
   }
   return acc;
 #endif
-}
-
-/// Scratch-free convenience form of the scan above.
-template <typename T>
-T exclusive_scan_inplace(std::span<T> data) {
-  std::vector<T> block_sums;
-  return exclusive_scan_inplace(data, block_sums);
 }
 
 /// Exclusive prefix sum of `input` into a fresh vector one element longer;

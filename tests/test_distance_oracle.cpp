@@ -4,6 +4,7 @@
 #include "apps/distance_oracle.hpp"
 #include "bfs/sequential_bfs.hpp"
 #include "graph/generators.hpp"
+#include "parallel/thread_env.hpp"
 
 namespace mpx {
 namespace {
@@ -32,6 +33,30 @@ TEST(DistanceOracle, NeverUnderestimates) {
       }
     }
   }
+}
+
+TEST(DistanceOracle, TablesIdenticalAtOneAndFourThreads) {
+  // The all-pairs table build forks one Dijkstra per cluster; the table
+  // must not depend on how many threads ran them. One vertex per cluster
+  // reads every table entry through estimate().
+  const CsrGraph g = grid2d(80, 80);
+  const Decomposition dec = DistanceOracle(g, opts(0.5, 11)).decomposition();
+  std::vector<vertex_t> rep(dec.num_clusters(), kInvalidVertex);
+  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+    if (rep[dec.cluster_of(v)] == kInvalidVertex) rep[dec.cluster_of(v)] = v;
+  }
+  ASSERT_GT(rep.size(), 64u);
+  const auto table = [&](int threads) {
+    ScopedNumThreads guard(threads);
+    const DistanceOracle oracle(g, dec);
+    std::vector<std::uint32_t> entries;
+    entries.reserve(rep.size() * rep.size());
+    for (const vertex_t u : rep) {
+      for (const vertex_t v : rep) entries.push_back(oracle.estimate(u, v));
+    }
+    return entries;
+  };
+  EXPECT_EQ(table(1), table(4));
 }
 
 TEST(DistanceOracle, SelfDistanceIsZeroAndSymmetric) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "parallel/atomics.hpp"
@@ -15,6 +17,10 @@
 #include "parallel/sort.hpp"
 #include "parallel/thread_env.hpp"
 #include "support/random.hpp"
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 namespace mpx {
 namespace {
@@ -43,6 +49,40 @@ TEST(ParallelForDynamic, VisitsEveryIndexExactlyOnce) {
   parallel_for_dynamic(std::size_t{0}, n, [&](std::size_t i) { ++hits[i]; });
   EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
                           [](int h) { return h == 1; }));
+}
+
+TEST(ParallelForDynamic, SmallHeavyLoopsForkAcrossThreads) {
+  // Heavy per-item loops with few items (all-pairs Dijkstra over ~650
+  // clusters, one refine per rank bucket) must still spread over the team:
+  // a 64-item loop at 4 threads runs on more than one thread. Each item
+  // sleeps briefly so the whole team is awake before the items run out.
+  ScopedNumThreads guard(4);
+  std::vector<int> thread_of(64, -1);
+  parallel_for_dynamic(std::size_t{0}, thread_of.size(), [&](std::size_t i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+#if defined(_OPENMP)
+    thread_of[i] = omp_get_thread_num();
+#else
+    thread_of[i] = 0;
+#endif
+  });
+  EXPECT_TRUE(std::none_of(thread_of.begin(), thread_of.end(),
+                           [](int t) { return t < 0; }));
+#if defined(_OPENMP)
+  std::sort(thread_of.begin(), thread_of.end());
+  const auto distinct = std::unique(thread_of.begin(), thread_of.end()) -
+                        thread_of.begin();
+  EXPECT_GT(distinct, 1);
+#endif
+}
+
+TEST(ParallelForDynamic, HandlesEmptyAndSingleItemRanges) {
+  ScopedNumThreads guard(4);
+  int count = 0;
+  parallel_for_dynamic(0, 0, [&](int) { ++count; });
+  EXPECT_EQ(count, 0);
+  parallel_for_dynamic(3, 4, [&](int i) { count += i; });
+  EXPECT_EQ(count, 3);
 }
 
 TEST(ParallelReduce, SumMatchesSequential) {

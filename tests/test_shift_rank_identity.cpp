@@ -239,9 +239,14 @@ TEST(ShiftRankIdentity, OwnerSettleIdenticalAcrossFixtureCorpus) {
 }
 
 TEST(ShiftRankIdentity, WarmWorkspaceRunsAllocateNothing) {
-  // The workspace-owned scratch (rank records, bucket counters, scan block
-  // sums) and the Shifts vectors are sized by the first call; repeat calls
-  // at the same n must not touch the allocator at all.
+  // The workspace-owned scratch (rank records, per-block histograms,
+  // per-thread segment buffers) and the Shifts vectors are sized by the
+  // first call; repeat calls at the same n must not touch the allocator at
+  // all. Four threads and many repetitions: the finishing pass hands
+  // buckets to threads differently on every call, so a per-thread buffer
+  // that grows on a later call can show up here (test_counting_sort checks
+  // the up-front sizing itself).
+  ScopedNumThreads threads(4);
   const vertex_t n = 60000;
   for (const TieBreak tb :
        {TieBreak::kFractionalShift, TieBreak::kLexicographic}) {
@@ -250,7 +255,7 @@ TEST(ShiftRankIdentity, WarmWorkspaceRunsAllocateNothing) {
     ShiftWorkspace ws;
     generate_shifts(n, o, s, &ws);  // cold: sizes everything
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int rep = 0; rep < 3; ++rep) generate_shifts(n, o, s, &ws);
+    for (int rep = 0; rep < 50; ++rep) generate_shifts(n, o, s, &ws);
     const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after, before) << "tie_break=" << static_cast<int>(tb);
   }
@@ -258,7 +263,9 @@ TEST(ShiftRankIdentity, WarmWorkspaceRunsAllocateNothing) {
 
 TEST(ShiftRankIdentity, WarmBasisRunsAllocateNothing) {
   // Same property for the batch path: after one beta warms the workspace,
-  // further betas (same n) are allocation-free.
+  // further betas (same n) are allocation-free, also when repeated at four
+  // threads.
+  ScopedNumThreads threads(4);
   const vertex_t n = 60000;
   const PartitionOptions base = opts(0.5, 23);
   const ShiftBasis basis = make_shift_basis(n, base);
@@ -267,9 +274,11 @@ TEST(ShiftRankIdentity, WarmBasisRunsAllocateNothing) {
   PartitionOptions o = base;
   shifts_from_basis(basis, o, s, &ws);
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (const double beta : {0.2, 0.1, 0.05}) {
-    o.beta = beta;
-    shifts_from_basis(basis, o, s, &ws);
+  for (int rep = 0; rep < 20; ++rep) {
+    for (const double beta : {0.2, 0.1, 0.05}) {
+      o.beta = beta;
+      shifts_from_basis(basis, o, s, &ws);
+    }
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before);
